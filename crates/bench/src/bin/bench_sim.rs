@@ -1,7 +1,8 @@
 //! Simulator hot-path perf baseline: segmented-payload programs vs the
-//! per-slot emission shape, both on the interned-resource engine.
+//! per-slot emission shape, both on the interned-resource engine, and the
+//! engine itself vs the reference scheduler on a wide program.
 //!
-//! Two stages, each measured in-process on this machine and written to
+//! Three stages, each measured in-process on this machine and written to
 //! `BENCH_sim.json` so future PRs have a trajectory to compare against:
 //!
 //! * **allgather_dgx2** — the 16-GPU DGX-2 one-hop AllGather, the scenario
@@ -15,26 +16,29 @@
 //! * **multiserver_allreduce** — the three-phase AllReduce over a fragmented
 //!   2×DGX-1V allocation; its ops are mostly single-segment, so its ratio is
 //!   expected near 1x and recorded as a guard that splitting never *helps*.
+//! * **wide_ring_dgx2** — the NCCL ring AllReduce over all 16 DGX-2 GPUs,
+//!   about 10k ops with far more ready at once than the scheduler's
+//!   candidate window holds. The fast side is
+//!   [`blink_sim::Simulator::run_with_scratch`]; the naive side is the
+//!   allocating reference scheduler (`Simulator::run_reference`) on the same
+//!   program, so the ratio is what the engine's persistent candidate window
+//!   and per-link table buy on wide programs. Both must produce the same
+//!   makespan bit for bit.
 //!
-//! The allocating reference scheduler (`Simulator::run_reference`) is
-//! retired from this benchmark's measurement path: it survives only as the
-//! bit-identity oracle the sim crate's regression tests pin the fast engine
-//! against, so the recorded trajectory no longer pays for (or depends on)
-//! scheduling the naive side twice.
-//!
-//! Both stages simulate under a calibration with a non-zero
-//! [`SimParams::per_segment_overhead_us`]: a batched multi-range copy pays
-//! the driver's per-extra-range cost explicitly, so the segmented program's
-//! *simulated* time is honest about batching (and still beats the split
-//! shape, which pays a full per-op launch overhead per range instead).
+//! The two segmented-vs-split stages simulate under a calibration with a
+//! non-zero [`SimParams::per_segment_overhead_us`]: a batched multi-range
+//! copy pays the driver's per-extra-range cost explicitly, so the segmented
+//! program's *simulated* time is honest about batching (and still beats the
+//! split shape, which pays a full per-op launch overhead per range instead).
 //!
 //! Run with `cargo run --release -p blink-bench --bin bench_sim`.
 //!
-//! `--check` runs a quick-mode measurement and exits non-zero if either
-//! stage's segmented-over-split speedup regressed more than
-//! [`CHECK_TOLERANCE`]× against the recorded `BENCH_sim.json`, or if the
-//! `allgather_dgx2` stage falls below [`ALLGATHER_FLOOR`]× outright, or if
-//! the segmented program's simulated time stops beating the split shape's.
+//! `--check` runs a quick-mode measurement and exits non-zero if any
+//! stage's speedup regressed more than [`CHECK_TOLERANCE`]× against the
+//! recorded `BENCH_sim.json`, or if the `allgather_dgx2` stage falls below
+//! [`ALLGATHER_FLOOR`]× outright, or if the segmented program's simulated
+//! time stops beating the split shape's, or if the engine's makespan on the
+//! wide ring differs from the reference scheduler's.
 //! Both sides of each ratio run in this process, so runner hardware cancels
 //! out. It does not rewrite the JSON.
 
@@ -42,6 +46,8 @@ use blink_core::multiserver::three_phase_allreduce;
 use blink_core::{
     CodeGenOptions, CollectiveKind, Communicator, CommunicatorOptions, TreeGenOptions,
 };
+use blink_nccl::schedule::{build_program, NcclCollective, ScheduleOptions};
+use blink_nccl::NcclPlanner;
 use blink_sim::{EngineScratch, Program, SimParams, Simulator};
 use blink_topology::presets::{dgx2, multi_server, ServerKind};
 use blink_topology::{GpuId, Topology};
@@ -77,16 +83,19 @@ struct EnginePathReport {
     us_per_program: f64,
 }
 
-/// One segmented-vs-split stage.
+/// One fast-vs-naive stage.
 #[derive(Debug, Serialize)]
 struct SimStageReport {
     /// What the stage simulates.
     scenario: String,
-    /// Simulated wall-clock of the segmented program under the calibrated
-    /// params (pays `per_segment_overhead_us` per extra range).
+    /// Simulated wall-clock of the fast side's program (for the
+    /// segmented-vs-split stages: the segmented program under the calibrated
+    /// params, which pays `per_segment_overhead_us` per extra range).
     fast_total_us: f64,
-    /// Simulated wall-clock of the split shape (pays a full launch overhead
-    /// per range); must stay >= `fast_total_us`.
+    /// Simulated wall-clock of the naive side (for the segmented-vs-split
+    /// stages: the split shape, which pays a full launch overhead per range
+    /// and must stay >= `fast_total_us`; for `wide_ring_dgx2`: the reference
+    /// scheduler, which must equal `fast_total_us` bit for bit).
     naive_total_us: f64,
     naive: EnginePathReport,
     fast: EnginePathReport,
@@ -98,6 +107,10 @@ struct SimStageReport {
 struct Config {
     fast_runs: usize,
     naive_runs: usize,
+    /// Run counts of the `wide_ring_dgx2` stage, whose program is ~20x
+    /// larger.
+    wide_fast_runs: usize,
+    wide_naive_runs: usize,
 }
 
 #[derive(Debug, Serialize)]
@@ -108,6 +121,9 @@ struct Report {
     /// Three-phase multi-server AllReduce: interned vs allocating scheduler
     /// on the identical (single-segment) program.
     multiserver_allreduce: SimStageReport,
+    /// DGX-2 all-16 NCCL ring AllReduce: the engine vs the reference
+    /// scheduler on the identical program.
+    wide_ring_dgx2: SimStageReport,
 }
 
 /// Times `runs` runs of `f` and reports the per-run rate over `ops` ops.
@@ -166,9 +182,43 @@ fn measure_stage(
     }
 }
 
+/// Measures the engine against the reference scheduler on the same
+/// program under the default calibration.
+fn measure_reference_stage(
+    scenario: &str,
+    machine: &Topology,
+    program: &Program,
+    fast_runs: usize,
+    naive_runs: usize,
+) -> SimStageReport {
+    let sim = Simulator::with_defaults(machine.clone());
+    let mut scratch = EngineScratch::new();
+    let fast_total_us = sim
+        .run_with_scratch(program, &mut scratch)
+        .unwrap()
+        .total_us;
+    let naive_total_us = sim.run_reference(program).unwrap().total_us;
+    let naive = time_path(program.len(), naive_runs, || {
+        sim.run_reference(program).unwrap();
+    });
+    let fast = time_path(program.len(), fast_runs, || {
+        sim.run_with_scratch(program, &mut scratch).unwrap();
+    });
+    SimStageReport {
+        scenario: scenario.to_string(),
+        fast_total_us,
+        naive_total_us,
+        speedup: fast.programs_per_sec / naive.programs_per_sec,
+        naive,
+        fast,
+    }
+}
+
 fn measure(quick: bool) -> Report {
     let fast_runs = if quick { 200 } else { 1000 };
     let naive_runs = if quick { 20 } else { 100 };
+    let wide_fast_runs = if quick { 10 } else { 50 };
+    let wide_naive_runs = if quick { 2 } else { 10 };
 
     // ---- DGX-2 one-hop AllGather (the per-slot op-count blow-up case) ----
     let machine = dgx2();
@@ -214,13 +264,37 @@ fn measure(quick: bool) -> Report {
         naive_runs,
     );
 
+    // ---- DGX-2 all-16 NCCL ring AllReduce (a wide program) ----
+    let machine = dgx2();
+    let alloc: Vec<GpuId> = (0..16).map(GpuId).collect();
+    let plan = NcclPlanner::with_defaults(machine.clone())
+        .plan(&alloc, mb(256))
+        .expect("NCCL plans the full DGX-2");
+    let ring_prog = build_program(
+        &plan,
+        NcclCollective::AllReduce,
+        mb(256),
+        &ScheduleOptions::default(),
+    )
+    .expect("ring AllReduce lowers");
+    let wide_ring_dgx2 = measure_reference_stage(
+        "dgx2 nccl ring allreduce, 16 GPUs, 256 MiB",
+        &machine,
+        &ring_prog,
+        wide_fast_runs,
+        wide_naive_runs,
+    );
+
     Report {
         config: Config {
             fast_runs,
             naive_runs,
+            wide_fast_runs,
+            wide_naive_runs,
         },
         allgather_dgx2,
         multiserver_allreduce,
+        wide_ring_dgx2,
     }
 }
 
@@ -236,11 +310,14 @@ fn main() {
             |stage: &str| -> Option<f64> { recorded.get(stage)?.get("speedup")?.as_f64() };
         eprintln!(
             "quick check: allgather {:.1}x ({} -> {} ops), multiserver {:.1}x over the \
-             per-slot shape on the same engine",
+             per-slot shape on the same engine; wide ring {:.1}x over the reference \
+             scheduler ({} ops)",
             out.allgather_dgx2.speedup,
             out.allgather_dgx2.naive.ops,
             out.allgather_dgx2.fast.ops,
             out.multiserver_allreduce.speedup,
+            out.wide_ring_dgx2.speedup,
+            out.wide_ring_dgx2.fast.ops,
         );
         let mut failed = false;
         if out.allgather_dgx2.speedup < ALLGATHER_FLOOR {
@@ -261,9 +338,19 @@ fn main() {
                 );
             }
         }
+        let ring = &out.wide_ring_dgx2;
+        if ring.fast_total_us.to_bits() != ring.naive_total_us.to_bits() {
+            failed = true;
+            eprintln!(
+                "REGRESSION: {}: the engine's makespan ({} us) differs from the reference \
+                 scheduler's ({} us)",
+                ring.scenario, ring.fast_total_us, ring.naive_total_us
+            );
+        }
         for (name, measured) in [
             ("allgather_dgx2", out.allgather_dgx2.speedup),
             ("multiserver_allreduce", out.multiserver_allreduce.speedup),
+            ("wide_ring_dgx2", out.wide_ring_dgx2.speedup),
         ] {
             let Some(rec) = recorded_speedup(name) else {
                 continue; // stage not recorded yet — nothing to regress against
@@ -288,10 +375,13 @@ fn main() {
     println!("{json}");
     eprintln!(
         "speedup: {:.1}x one-hop allgather ({} ops vs {} per-slot ops, both on the \
-         interned engine), {:.1}x three-phase allreduce",
+         interned engine), {:.1}x three-phase allreduce, {:.1}x engine over the \
+         reference scheduler on the {}-op DGX-2 ring",
         out.allgather_dgx2.speedup,
         out.allgather_dgx2.fast.ops,
         out.allgather_dgx2.naive.ops,
         out.multiserver_allreduce.speedup,
+        out.wide_ring_dgx2.speedup,
+        out.wide_ring_dgx2.fast.ops,
     );
 }

@@ -13,7 +13,7 @@
 //! chunk size changes — the tree set does not. [`PlanCache`] keeps the MWU
 //! packing out of that loop entirely: it memoises [`TreePlan`]s per
 //! `(root, link class)` and funnels every cache miss through one
-//! [`SharedPackingScratch`] pool, so even misses reuse the packing buffers
+//! [`ScratchPool`], so even misses reuse the packing buffers
 //! (and plan concurrently when several roots miss at once, see
 //! [`PlanCache::plan_many`]).
 //!
@@ -41,9 +41,7 @@
 //! plan directly — warm seeds only ever enter through the packer, so every
 //! plan handed out has been re-certified against the current topology.
 
-use crate::treegen::{
-    parallel_map, LinkSelection, SharedPackingScratch, TreeGen, TreeGenOptions, TreePlan,
-};
+use crate::treegen::{parallel_map, LinkSelection, ScratchPool, TreeGen, TreeGenOptions, TreePlan};
 use crate::{new_shared_scratch, Result};
 use blink_graph::{optimal_broadcast_rate, Arborescence, DiGraph, WeightedTree};
 use blink_topology::enumerate::canonical_labeling;
@@ -585,7 +583,7 @@ impl SharedPlanCacheInner {
 }
 
 /// Memoises [`TreePlan`]s per `(root, link class)`, sharing a single
-/// [`SharedPackingScratch`] across misses.
+/// [`ScratchPool`] across misses.
 ///
 /// Every lookup carries a fingerprint of the induced topology and the
 /// (link-class-normalised) options; when it differs from the fingerprint the
@@ -596,7 +594,7 @@ impl SharedPlanCacheInner {
 /// raised. [`PlanCache::invalidate`] remains available for explicit flushes.
 #[derive(Debug, Clone, Default)]
 pub struct PlanCache {
-    scratch: SharedPackingScratch,
+    scratch: ScratchPool,
     plans: BTreeMap<(GpuId, LinkSelection), TreePlan>,
     /// Warm-start seeds: stale plans demoted by [`PlanCache::note_delta`],
     /// each consumed by the next miss on its key to drive
@@ -625,7 +623,7 @@ impl PlanCache {
     }
 
     /// Creates an empty cache that packs over caller-provided scratch buffers.
-    pub fn with_scratch(scratch: SharedPackingScratch) -> Self {
+    pub fn with_scratch(scratch: ScratchPool) -> Self {
         PlanCache {
             scratch,
             plans: BTreeMap::new(),
@@ -671,7 +669,7 @@ impl PlanCache {
 
     /// The scratch handle cache misses pack with (clone it to share buffers
     /// with planners that bypass the cache, e.g. the hybrid planner).
-    pub fn scratch(&self) -> &SharedPackingScratch {
+    pub fn scratch(&self) -> &ScratchPool {
         &self.scratch
     }
 
@@ -1393,13 +1391,13 @@ mod tests {
         let opts = TreeGenOptions::default();
         let roots: Vec<GpuId> = (0..8).map(GpuId).collect();
         // reference: sequential plan_for on a single-worker cache
-        let mut seq = PlanCache::with_scratch(crate::treegen::ScratchPool::with_workers(1));
+        let mut seq = PlanCache::with_scratch(ScratchPool::with_workers(1));
         let reference: Vec<TreePlan> = roots
             .iter()
             .map(|&r| seq.plan_for(&induced, &opts, r).unwrap().clone())
             .collect();
         // parallel misses through plan_many
-        let mut par = PlanCache::with_scratch(crate::treegen::ScratchPool::with_workers(4));
+        let mut par = PlanCache::with_scratch(ScratchPool::with_workers(4));
         let plans = par.plan_many(&induced, &opts, &roots).unwrap();
         assert_eq!(plans.len(), roots.len());
         for (a, b) in reference.iter().zip(plans) {

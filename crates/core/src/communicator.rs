@@ -30,7 +30,9 @@ use crate::onehop::{is_switch_fabric, one_hop_broadcast_tree, one_hop_trees};
 use crate::treegen::{LinkSelection, TreeGenOptions};
 use crate::{BlinkError, Result};
 use blink_graph::{DiGraph, WeightedTree};
-use blink_sim::{check_collective, EngineScratch, Program, SimParams, Simulator, ValueCheck};
+use blink_sim::{
+    check_collective, EngineScratch, Program, RunReport, SimParams, Simulator, ValueCheck,
+};
 use blink_topology::presets::{placement_topology, ServerKind};
 use blink_topology::{GpuId, GroupSplit, Topology, TopologyDelta};
 use serde::{Deserialize, Serialize};
@@ -246,6 +248,29 @@ pub struct ReplanReport {
 /// A collective's timing report plus the artifacts the value-level oracle
 /// replays: the lowered program and the engine's per-op `(start, end)` spans.
 pub type TracedRun = (CollectiveReport, Program, Vec<(f64, f64)>);
+
+/// A collective lowered to a program by [`Communicator::build_program`].
+pub(crate) struct Lowering {
+    pub(crate) program: Program,
+    /// Trees (or partitions) the program spreads the buffer over.
+    pub(crate) num_trees: usize,
+    pub(crate) strategy: String,
+    /// The engine's run of `program` on this communicator's simulator, when
+    /// choosing the lowering already simulated it (the switch-fabric
+    /// competition), so a caller that needs the run does not repeat it.
+    pub(crate) report: Option<RunReport>,
+}
+
+impl Lowering {
+    fn unsimulated(program: Program, num_trees: usize, strategy: String) -> Self {
+        Lowering {
+            program,
+            num_trees,
+            strategy,
+            report: None,
+        }
+    }
+}
 
 /// One program of a [`StreamedRun`]: a fused batch (or unfused single
 /// request) with its issue time, completion time and the oracle-replayable
@@ -560,11 +585,16 @@ impl Communicator {
             }
         }
         let chunk = self.current_chunk(kind, bytes);
-        let (program, num_trees, strategy) = self.build_program(kind, bytes, chunk)?;
-        let report = self
-            .sim
-            .run_with_scratch(&program, &mut self.engine_scratch)
-            .map_err(|e| BlinkError::Simulation(e.to_string()))?;
+        let Lowering {
+            program,
+            num_trees,
+            strategy,
+            report,
+        } = self.build_program(kind, bytes, chunk)?;
+        let report = match report {
+            Some(report) => report,
+            None => self.simulate(&program)?,
+        };
         let gbps = report.algorithmic_bandwidth_gbps(bytes);
         self.observe_chunk(kind, bytes, gbps);
         let collective_report = CollectiveReport {
@@ -642,7 +672,9 @@ impl Communicator {
         for group in groups {
             let bytes = group.total_bytes;
             let chunk = self.current_chunk(kind, bytes);
-            let (program, _, strategy) = self.build_program(kind, bytes, chunk)?;
+            let Lowering {
+                program, strategy, ..
+            } = self.build_program(kind, bytes, chunk)?;
             let issue_us = group
                 .members
                 .iter()
@@ -1005,7 +1037,7 @@ impl Communicator {
         kind: CollectiveKind,
         bytes: u64,
         chunk: u64,
-    ) -> Result<(Program, usize, String)> {
+    ) -> Result<Lowering> {
         // ---- multi-server allocations: the three-phase protocol ----
         if self.is_multi_server() {
             if kind != CollectiveKind::AllReduce {
@@ -1058,7 +1090,7 @@ impl Communicator {
                 info.partitions,
                 if fell_back { "; PCIe fallback" } else { "" }
             );
-            return Ok((program, info.partitions, strategy));
+            return Ok(Lowering::unsimulated(program, info.partitions, strategy));
         }
 
         let cg = CodeGen::new(self.codegen_options(chunk));
@@ -1102,7 +1134,7 @@ impl Communicator {
                     planner.build(kind, bytes, &self.codegen_options(chunk), self.sim.params())?;
                 let n = planner.nvlink_plan().num_trees() + planner.pcie_plan().num_trees();
                 let strategy = format!("hybrid NVLink+PCIe ({} B over PCIe)", split.pcie_bytes);
-                return Ok((program, n, strategy));
+                return Ok(Lowering::unsimulated(program, n, strategy));
             }
             let treegen_opts = self.options.treegen;
             let plan = self.plans.plan_for(&self.induced, &treegen_opts, root)?;
@@ -1113,7 +1145,7 @@ impl Communicator {
             } else {
                 "packed spanning trees (NVLink)".to_string()
             };
-            return Ok((program, n, strategy));
+            return Ok(Lowering::unsimulated(program, n, strategy));
         }
 
         // ---- NVLink cannot span the allocation: fall back to PCIe trees ----
@@ -1134,7 +1166,7 @@ impl Communicator {
         } else {
             "packed spanning trees (PCIe fallback)".to_string()
         };
-        Ok((program, n, strategy))
+        Ok(Lowering::unsimulated(program, n, strategy))
     }
 
     /// Lowers a collective on an all-to-all switch fabric (NVSwitch): one-hop
@@ -1150,26 +1182,30 @@ impl Communicator {
     ///
     /// The memoised winner is keyed by the collective signature (kind and
     /// root), decided at the first call's byte size, and cleared by
-    /// [`Communicator::replan`].
+    /// [`Communicator::replan`]. When both candidates were simulated, the
+    /// winner's run is returned with its lowering, so the call that held the
+    /// competition does not simulate the winner a third time.
     fn build_switch_program(
         &mut self,
         kind: CollectiveKind,
         bytes: u64,
         chunk: u64,
-    ) -> Result<(Program, usize, String)> {
+    ) -> Result<Lowering> {
         let key = format!("{kind}");
         if let Some(&choice) = self.switch_strategy.get(&key) {
             return self.switch_candidate(choice, kind, bytes, chunk);
         }
-        let one_hop = self.switch_candidate(SwitchChoice::OneHop, kind, bytes, chunk)?;
+        let mut one_hop = self.switch_candidate(SwitchChoice::OneHop, kind, bytes, chunk)?;
         let (choice, winner) = match self.switch_candidate(SwitchChoice::Packed, kind, bytes, chunk)
         {
-            Ok(packed) => {
-                let one_hop_us = self.simulate_total_us(&one_hop.0)?;
-                let packed_us = self.simulate_total_us(&packed.0)?;
-                if packed_us + 1e-9 < one_hop_us {
+            Ok(mut packed) => {
+                let one_hop_run = self.simulate(&one_hop.program)?;
+                let packed_run = self.simulate(&packed.program)?;
+                if packed_run.total_us + 1e-9 < one_hop_run.total_us {
+                    packed.report = Some(packed_run);
                     (SwitchChoice::Packed, packed)
                 } else {
+                    one_hop.report = Some(one_hop_run);
                     (SwitchChoice::OneHop, one_hop)
                 }
             }
@@ -1186,7 +1222,7 @@ impl Communicator {
         kind: CollectiveKind,
         bytes: u64,
         chunk: u64,
-    ) -> Result<(Program, usize, String)> {
+    ) -> Result<Lowering> {
         let cg = CodeGen::new(self.codegen_options(chunk));
         match choice {
             SwitchChoice::OneHop => {
@@ -1200,7 +1236,11 @@ impl Communicator {
                 };
                 let n = trees.len();
                 let program = cg.build(&trees, kind, bytes)?;
-                Ok((program, n, "one-hop switch trees".to_string()))
+                Ok(Lowering::unsimulated(
+                    program,
+                    n,
+                    "one-hop switch trees".to_string(),
+                ))
             }
             SwitchChoice::Packed => {
                 // Any root spans a switch fabric and the graph is symmetric,
@@ -1210,7 +1250,7 @@ impl Communicator {
                 let plan = self.plans.plan_for(&self.induced, &treegen_opts, root)?;
                 let n = plan.num_trees();
                 let program = cg.build(&plan.trees, kind, bytes)?;
-                Ok((
+                Ok(Lowering::unsimulated(
                     program,
                     n,
                     "packed spanning trees (NVLink switch fabric)".to_string(),
@@ -1219,13 +1259,11 @@ impl Communicator {
         }
     }
 
-    /// Simulates a candidate program once (strategy-competition probe).
-    fn simulate_total_us(&mut self, program: &Program) -> Result<f64> {
-        Ok(self
-            .sim
+    /// Simulates `program` once on this communicator's engine scratch.
+    fn simulate(&mut self, program: &Program) -> Result<RunReport> {
+        self.sim
             .run_with_scratch(program, &mut self.engine_scratch)
-            .map_err(|e| BlinkError::Simulation(e.to_string()))?
-            .total_us)
+            .map_err(|e| BlinkError::Simulation(e.to_string()))
     }
 }
 
@@ -1492,6 +1530,22 @@ mod tests {
             .run_checked(CollectiveKind::Broadcast { root: GpuId(4) }, mb(16))
             .unwrap();
         assert!(check.is_correct(), "{check}");
+        // a competing call reports the winner's competition run, which is
+        // exactly what simulating the returned program gives
+        let mut fresh = Communicator::builder(dgx2())
+            .allocation(&alloc)
+            .isolated_plans()
+            .build()
+            .unwrap();
+        for kind in [
+            CollectiveKind::Broadcast { root: GpuId(4) },
+            CollectiveKind::AllReduce,
+        ] {
+            let (report, program, spans) = fresh.run_traced(kind, mb(256)).unwrap();
+            let rerun = fresh.sim.run(&program).unwrap();
+            assert_eq!(report.elapsed_us.to_bits(), rerun.total_us.to_bits());
+            assert_eq!(spans, rerun.op_spans);
+        }
     }
 
     #[test]

@@ -157,8 +157,8 @@ impl ProcessGroups {
                 continue;
             }
             let chunk = child.current_chunk(kind, bytes);
-            let (program, _trees, strategy) = child.build_program(kind, bytes, chunk)?;
-            lowered.push((program, strategy));
+            let lowering = child.build_program(kind, bytes, chunk)?;
+            lowered.push((lowering.program, lowering.strategy));
         }
 
         let mut session = self.sim.session();

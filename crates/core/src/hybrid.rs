@@ -15,8 +15,7 @@ use crate::autotune::PlanCache;
 use crate::codegen::{CodeGen, CodeGenOptions};
 use crate::collective::CollectiveKind;
 use crate::treegen::{
-    new_shared_scratch, parallel_map, LinkSelection, SharedPackingScratch, TreeGen, TreeGenOptions,
-    TreePlan,
+    new_shared_scratch, parallel_map, LinkSelection, ScratchPool, TreeGen, TreeGenOptions, TreePlan,
 };
 use crate::{BlinkError, Result};
 use blink_graph::WeightedTree;
@@ -95,7 +94,7 @@ impl HybridPlanner {
 
     /// [`HybridPlanner::plan`] over caller-provided planning scratch buffers:
     /// both the NVLink and the PCIe TreeGen pack, minimise and certify
-    /// through the same [`SharedPackingScratch`] pool, and callers planning
+    /// through the same [`ScratchPool`], and callers planning
     /// repeatedly (several roots, the communicator loop) amortise the buffers
     /// across all of it. The two link classes are independent packings, so
     /// they plan concurrently when the pool has more than one worker —
@@ -104,7 +103,7 @@ impl HybridPlanner {
         induced: &Topology,
         root: GpuId,
         base: &TreeGenOptions,
-        scratch: &SharedPackingScratch,
+        scratch: &ScratchPool,
     ) -> Result<Self> {
         let mut plans = parallel_map(
             vec![LinkSelection::NvLinkOnly, LinkSelection::PcieOnly],

@@ -141,7 +141,7 @@ pub use fusion::{fuse_requests, fusible, restrict_to_window, FusedGroup};
 pub use group::{GroupCollective, GroupRun, ProcessGroups};
 pub use treegen::{
     new_shared_scratch, parallel_map, LinkSelection, PlannerScratch, ScratchGuard, ScratchPool,
-    SharedPackingScratch, TreeGen, TreeGenOptions, TreePlan,
+    TreeGen, TreeGenOptions, TreePlan,
 };
 
 /// Errors surfaced by the Blink library.

@@ -82,7 +82,7 @@ pub fn three_phase_allreduce_with_scratch(
     bytes: u64,
     tg_options: &TreeGenOptions,
     cg_options: &CodeGenOptions,
-    scratch: &crate::treegen::SharedPackingScratch,
+    scratch: &crate::treegen::ScratchPool,
 ) -> Result<(Program, ThreePhaseInfo)> {
     three_phase_allreduce_cached(
         machine, allocation, bytes, tg_options, cg_options, scratch, None,
@@ -102,7 +102,7 @@ pub fn three_phase_allreduce_cached(
     bytes: u64,
     tg_options: &TreeGenOptions,
     cg_options: &CodeGenOptions,
-    scratch: &crate::treegen::SharedPackingScratch,
+    scratch: &crate::treegen::ScratchPool,
     shared: Option<&SharedPlanCache>,
 ) -> Result<(Program, ThreePhaseInfo)> {
     // group by server, preserving allocation order

@@ -180,14 +180,8 @@ impl Drop for ScratchGuard<'_> {
     }
 }
 
-/// The planning scratch handle TreeGens share. Kept as an alias of
-/// [`ScratchPool`]: the name predates the pool (it used to be an
-/// `Rc<RefCell<PlannerScratch>>`) and every planning entry point still
-/// accepts it.
-pub type SharedPackingScratch = ScratchPool;
-
-/// Creates a fresh [`SharedPackingScratch`] sized for this machine.
-pub fn new_shared_scratch() -> SharedPackingScratch {
+/// Creates a fresh [`ScratchPool`] sized for this machine.
+pub fn new_shared_scratch() -> ScratchPool {
     ScratchPool::new()
 }
 
@@ -368,7 +362,7 @@ impl TreePlan {
 pub struct TreeGen {
     topology: Topology,
     options: TreeGenOptions,
-    scratch: SharedPackingScratch,
+    scratch: ScratchPool,
 }
 
 impl TreeGen {
@@ -381,11 +375,7 @@ impl TreeGen {
     /// Creates a TreeGen that packs over caller-provided scratch buffers, so
     /// several TreeGens (e.g. one per link class, or the hybrid planner's
     /// pair) share one set of allocations.
-    pub fn with_scratch(
-        topology: Topology,
-        options: TreeGenOptions,
-        scratch: SharedPackingScratch,
-    ) -> Self {
+    pub fn with_scratch(topology: Topology, options: TreeGenOptions, scratch: ScratchPool) -> Self {
         TreeGen {
             topology,
             options,
@@ -395,7 +385,7 @@ impl TreeGen {
 
     /// The packing scratch this TreeGen plans with (clone the handle to share
     /// it with further TreeGens).
-    pub fn scratch(&self) -> &SharedPackingScratch {
+    pub fn scratch(&self) -> &ScratchPool {
         &self.scratch
     }
 

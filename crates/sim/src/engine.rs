@@ -15,20 +15,54 @@
 //! The autotune and planning loops simulate thousands of candidate programs,
 //! so the scheduler itself is a hot path. [`Simulator::run_with_scratch`]
 //! therefore splits execution into a **prepass** and a **zero-allocation
-//! scan**: the prepass interns every [`Resource`] an op touches to a dense
-//! integer id and lays the per-op resource-id lists out in one flat CSR
-//! buffer, precomputes each op's duration, and builds the dependency
-//! children lists as a second CSR — after which the K-candidate scan (pick,
-//! among the earliest-ready ops, the one that can *start* earliest given
-//! current resource occupancy) runs entirely over flat `Vec` lookups with no
-//! per-iteration allocation and no ordered-map walks. All of those buffers
-//! live in an [`EngineScratch`] that callers reuse across runs.
+//! scan**, and makes the scan's cost per op independent of how many ops are
+//! ready at once. All of its buffers live in an [`EngineScratch`] that callers
+//! reuse across runs.
 //!
-//! The flat-path schedule is **bit-identical** to the direct implementation
-//! ([`Simulator::run_reference`], kept as the allocating reference the
-//! regression tests compare against): interning only changes how a resource's
-//! free time is looked up, never which resources an op occupies, how long it
-//! runs, or how ties are broken.
+//! * **Prepass.** Every [`Resource`] an op touches is interned to a dense
+//!   integer id, the per-op resource-id lists are laid out in one flat CSR
+//!   buffer, each op's duration is precomputed, and the dependency children
+//!   lists become a second CSR.
+//! * **Per-link table.** A copy's `(src, dst, class)` link is interned
+//!   *before* anything else about the copy is computed. The first copy over a
+//!   link resolves, once for the whole run, the link's capacity (a scan of
+//!   the topology's links between the two GPUs) and its non-stream resource
+//!   ids (the link itself, switch ports, server NICs); every later copy over
+//!   the link reads both from the table, so a copy's prepass work is a few
+//!   hash lookups (its stream and its link), however many links the machine
+//!   has.
+//! * **Persistent candidate window.** The scan picks, among the
+//!   `CANDIDATES` earliest-ready ops in `(ready time, op id)` order, the
+//!   one that can *start* earliest given current resource occupancy. Those
+//!   candidates live in a window kept sorted in `(time, id)` order across
+//!   iterations; every other ready op waits in a min-heap. The invariant is
+//!   that the window is full or the heap is empty, and every heap entry
+//!   comes after the window's last entry in `(time, id)` order. Each
+//!   iteration removes the chosen op from the window and refills it with
+//!   one heap pop; each newly ready op (roots included) is inserted at its
+//!   sorted position, and if that overflows the window its last entry is evicted
+//!   to the heap (an op that sorts after a full window's last entry goes
+//!   straight to the heap). An op therefore costs a few heap operations and
+//!   one window scan, not a pop-and-push of the whole candidate set. The
+//!   scan also stops at the first candidate whose ready time is at least
+//!   the best start found so far plus the `1e-9` tie tolerance: every later
+//!   candidate is ready, and so starts, no earlier.
+//!
+//! The fast path's schedule is **bit-identical** to the direct
+//! implementation ([`Simulator::run_reference`], kept as the allocating
+//! reference the regression tests compare against). Interning and the link
+//! table only change how a resource's free time or a link's capacity is
+//! looked up, never which resources an op occupies, how long it runs (the
+//! duration formula is shared and evaluated in the same order), or how ties
+//! are broken. The window holds exactly the ops the reference pops off its
+//! heap each iteration, because both are the `CANDIDATES` smallest ready
+//! entries under the same total `(time, id)` order, and the scan walks them
+//! in that order with the same `1e-9` tie rule, so it picks the same op.
+//! Stopping the scan early skips only candidates that cannot win: a ready
+//! time is never NaN (issue timestamps are checked finite, and every other
+//! ready time is an `f64::max` of op ends starting from `0.0`, which
+//! ignores NaN), so a candidate's start, the `max` of its ready time and
+//! its resources' free times, is never below its ready time.
 //!
 //! # Streaming sessions: the admission / contention / determinism contract
 //!
@@ -238,22 +272,35 @@ impl PartialOrd for Ready {
         Some(self.cmp(other))
     }
 }
+impl Ready {
+    /// Whether `self` comes strictly before `other` in `(time, id)` order —
+    /// the order the heap pops in (ids are unique, so it is total).
+    fn precedes(&self, other: &Ready) -> bool {
+        self.time
+            .total_cmp(&other.time)
+            .then(self.id.cmp(&other.id))
+            .is_lt()
+    }
+}
 
 /// Among the ready operations, run the one that can actually *start* earliest
-/// given current resource occupancy (ties broken by issue order). Considering
-/// only the K earliest-ready candidates keeps the scheduler near-linear while
-/// still packing independent flows (e.g. the 16x15 one-hop pattern on a
-/// DGX-2) tightly.
+/// given current resource occupancy (ties broken by issue order). Only the
+/// `CANDIDATES` earliest-ready ops in `(time, id)` order are considered: the
+/// fast path keeps them in a persistent sorted window (every other ready op
+/// sits in a heap and sorts after the window's last entry) and the reference
+/// pops them off its heap each iteration; both scan the same ops in the same
+/// order. The bound keeps the scan cost per op constant while still packing
+/// independent flows (e.g. the 16x15 one-hop pattern on a DGX-2) tightly.
 const CANDIDATES: usize = 128;
 
 /// Sentinel for "op occupies no link" in the prepass link table.
 const NO_LINK: u32 = u32::MAX;
 
 /// Reusable buffers for [`Simulator::run_with_scratch`]: the resource intern
-/// table, the per-op resource-id and children CSRs, flat free-time and
-/// link-accounting arrays, and the scheduler's heap. See the module docs for
-/// the scratch-reuse contract; a fresh scratch is `Default`-constructible and
-/// the struct is `Clone` and `Send`.
+/// table, the per-link table, the per-op resource-id and children CSRs, flat
+/// free-time and link-accounting arrays, and the scheduler's candidate window
+/// and heap. See the module docs for the scratch-reuse contract; a fresh
+/// scratch is `Default`-constructible and the struct is `Clone` and `Send`.
 #[derive(Debug, Clone, Default)]
 pub struct EngineScratch {
     /// Resource -> dense id intern table (rebuilt per run; rebuilding a
@@ -264,9 +311,16 @@ pub struct EngineScratch {
     op_res: Vec<u32>,
     /// Precomputed duration per op.
     durations: Vec<f64>,
-    /// Link intern table for the per-link busy/bytes accounting.
+    /// Link intern table: the per-link prepass table and the per-link
+    /// busy/bytes accounting are both indexed by interned link id.
     link_ids: HashMap<(GpuId, GpuId, LinkClass), u32>,
     links: Vec<(GpuId, GpuId, LinkClass)>,
+    /// Capacity (GB/s) per interned link.
+    link_bw: Vec<f64>,
+    /// CSR offsets: link `l`'s non-stream resource ids (link, switch ports,
+    /// NICs) live at `link_res[link_res_start[l]..link_res_start[l+1]]`.
+    link_res_start: Vec<u32>,
+    link_res: Vec<u32>,
     /// Interned link id per op (`NO_LINK` for non-copies).
     op_link: Vec<u32>,
     /// Payload bytes per op (copies only; 0 otherwise).
@@ -284,8 +338,11 @@ pub struct EngineScratch {
     child_cursor: Vec<u32>,
     ready_time: Vec<f64>,
     last_in_stream: HashMap<StreamId, u32>,
+    /// Ready ops outside the candidate window; each sorts after the
+    /// window's last entry.
     heap: BinaryHeap<Ready>,
-    pulled: Vec<Ready>,
+    /// The `CANDIDATES` earliest-ready ops, sorted in `(time, id)` order.
+    window: Vec<Ready>,
 }
 
 impl EngineScratch {
@@ -301,6 +358,33 @@ const _: () = {
     const fn assert_send<T: Send>() {}
     assert_send::<EngineScratch>();
 };
+
+/// Removes the window's `idx`-th candidate and refills the window with one
+/// heap pop, which keeps the window invariant: the heap's minimum sorts
+/// after the window's last entry.
+fn take_candidate(window: &mut Vec<Ready>, heap: &mut BinaryHeap<Ready>, idx: usize) -> Ready {
+    let chosen = window.remove(idx);
+    if let Some(next) = heap.pop() {
+        window.push(next);
+    }
+    chosen
+}
+
+/// Admits a newly ready op while keeping the window invariant: the window is
+/// sorted, full or the only holder of ready ops, and every heap entry sorts
+/// after its last entry.
+fn admit_ready(window: &mut Vec<Ready>, heap: &mut BinaryHeap<Ready>, ready: Ready) {
+    if window.len() == CANDIDATES {
+        if !ready.precedes(&window[CANDIDATES - 1]) {
+            heap.push(ready);
+            return;
+        }
+        // evict the window's last entry to make room
+        heap.push(window.pop().expect("the window is full"));
+    }
+    let pos = window.partition_point(|w| w.precedes(&ready));
+    window.insert(pos, ready);
+}
 
 /// Executes [`Program`]s against a [`Topology`] with given [`SimParams`].
 #[derive(Debug, Clone)]
@@ -330,8 +414,11 @@ impl Simulator {
         &self.params
     }
 
-    fn link_capacity(&self, src: GpuId, dst: GpuId, class: LinkClass) -> f64 {
-        self.topology
+    /// The capacity of the `(src, dst, class)` link, or
+    /// [`SimError::MissingLink`] when the topology has none.
+    fn link_capacity(&self, src: GpuId, dst: GpuId, class: LinkClass) -> Result<f64, SimError> {
+        let bw: f64 = self
+            .topology
             .links_between(src, dst)
             .filter(|l| match class {
                 LinkClass::NvLink => l.kind.is_nvlink(),
@@ -339,7 +426,24 @@ impl Simulator {
                 LinkClass::Network => l.kind == LinkKind::Network,
             })
             .map(|l| l.capacity_gbps())
-            .sum()
+            .sum();
+        if bw <= 0.0 {
+            return Err(SimError::MissingLink { src, dst, class });
+        }
+        Ok(bw)
+    }
+
+    /// Duration of a copy `kind` over a link of capacity `bw` GB/s.
+    fn copy_duration(&self, kind: &OpKind, class: LinkClass, bw: f64) -> f64 {
+        let p = &self.params;
+        let latency = match class {
+            LinkClass::Network => p.network_latency_us,
+            _ => p.link_latency_us,
+        };
+        p.op_launch_overhead_us
+            + latency
+            + SimParams::transfer_us(kind.payload_bytes(), bw)
+            + p.segment_overhead_us(kind.segments().len())
     }
 
     fn op_duration(&self, kind: &OpKind) -> Result<f64, SimError> {
@@ -347,20 +451,7 @@ impl Simulator {
         Ok(match *kind {
             OpKind::Copy {
                 src, dst, class, ..
-            } => {
-                let bw = self.link_capacity(src, dst, class);
-                if bw <= 0.0 {
-                    return Err(SimError::MissingLink { src, dst, class });
-                }
-                let latency = match class {
-                    LinkClass::Network => p.network_latency_us,
-                    _ => p.link_latency_us,
-                };
-                p.op_launch_overhead_us
-                    + latency
-                    + SimParams::transfer_us(kind.payload_bytes(), bw)
-                    + p.segment_overhead_us(kind.segments().len())
-            }
+            } => self.copy_duration(kind, class, self.link_capacity(src, dst, class)?),
             OpKind::Reduce { .. } => {
                 p.reduce_us(kind.payload_bytes()) + p.segment_overhead_us(kind.segments().len())
             }
@@ -381,41 +472,7 @@ impl Simulator {
         match *kind {
             OpKind::Copy {
                 src, dst, class, ..
-            } => {
-                if !self.topology.contains(src) {
-                    return Err(SimError::UnknownGpu(src));
-                }
-                if !self.topology.contains(dst) {
-                    return Err(SimError::UnknownGpu(dst));
-                }
-                f(Resource::Link(src, dst, class_tag(class)));
-                if class == LinkClass::NvLink {
-                    if self.topology.gpu_cap(src).is_some() {
-                        f(Resource::EgressPort(src));
-                    }
-                    if self.topology.gpu_cap(dst).is_some() {
-                        f(Resource::IngressPort(dst));
-                    }
-                }
-                if class == LinkClass::Network {
-                    let s_srv = self
-                        .topology
-                        .gpu(src)
-                        .map_err(|_| SimError::UnknownGpu(src))?
-                        .server;
-                    let d_srv = self
-                        .topology
-                        .gpu(dst)
-                        .map_err(|_| SimError::UnknownGpu(dst))?
-                        .server;
-                    if self.topology.server_nic(s_srv).is_some() {
-                        f(Resource::NicOut(s_srv));
-                    }
-                    if self.topology.server_nic(d_srv).is_some() {
-                        f(Resource::NicIn(d_srv));
-                    }
-                }
-            }
+            } => self.for_each_link_resource(src, dst, class, f)?,
             OpKind::Reduce { gpu, .. } => {
                 if !self.topology.contains(gpu) {
                     return Err(SimError::UnknownGpu(gpu));
@@ -428,6 +485,53 @@ impl Simulator {
                 f(Resource::Compute(gpu));
             }
             OpKind::TogglePeerAccess { .. } => {}
+        }
+        Ok(())
+    }
+
+    /// The non-stream resources a copy over `(src, dst, class)` occupies: the
+    /// directed link, plus the NVSwitch ports or server NICs where the
+    /// topology declares them. Depends only on the link, which is what lets
+    /// the prepass resolve it once per interned link.
+    fn for_each_link_resource(
+        &self,
+        src: GpuId,
+        dst: GpuId,
+        class: LinkClass,
+        mut f: impl FnMut(Resource),
+    ) -> Result<(), SimError> {
+        if !self.topology.contains(src) {
+            return Err(SimError::UnknownGpu(src));
+        }
+        if !self.topology.contains(dst) {
+            return Err(SimError::UnknownGpu(dst));
+        }
+        f(Resource::Link(src, dst, class_tag(class)));
+        if class == LinkClass::NvLink {
+            if self.topology.gpu_cap(src).is_some() {
+                f(Resource::EgressPort(src));
+            }
+            if self.topology.gpu_cap(dst).is_some() {
+                f(Resource::IngressPort(dst));
+            }
+        }
+        if class == LinkClass::Network {
+            let s_srv = self
+                .topology
+                .gpu(src)
+                .map_err(|_| SimError::UnknownGpu(src))?
+                .server;
+            let d_srv = self
+                .topology
+                .gpu(dst)
+                .map_err(|_| SimError::UnknownGpu(dst))?
+                .server;
+            if self.topology.server_nic(s_srv).is_some() {
+                f(Resource::NicOut(s_srv));
+            }
+            if self.topology.server_nic(d_srv).is_some() {
+                f(Resource::NicIn(d_srv));
+            }
         }
         Ok(())
     }
@@ -510,6 +614,10 @@ impl Simulator {
         s.res_ids.clear();
         s.link_ids.clear();
         s.links.clear();
+        s.link_bw.clear();
+        s.link_res.clear();
+        s.link_res_start.clear();
+        s.link_res_start.push(0);
         s.op_res.clear();
         s.op_res_start.clear();
         s.durations.clear();
@@ -525,30 +633,45 @@ impl Simulator {
             let mut max_stream: Option<usize> = None;
             for op in program.ops() {
                 s.op_res_start.push(s.op_res.len() as u32);
-                s.durations.push(self.op_duration(&op.kind)?);
                 // Namespace streams per program so two programs' stream 0
                 // never FIFO-serialise against each other.
                 let stream = StreamId(stream_base + op.stream.0);
                 max_stream = Some(max_stream.map_or(op.stream.0, |m| m.max(op.stream.0)));
                 let res_ids = &mut s.res_ids;
-                let op_res = &mut s.op_res;
-                self.for_each_resource(&op.kind, stream, |r| {
+                let mut intern = |r: Resource| {
                     let next = res_ids.len() as u32;
-                    let id = *res_ids.entry(r).or_insert(next);
-                    op_res.push(id);
-                })?;
+                    *res_ids.entry(r).or_insert(next)
+                };
                 if let OpKind::Copy {
                     src, dst, class, ..
                 } = op.kind
                 {
+                    // The per-link table: capacity and non-stream resource
+                    // ids are resolved on a link's first copy only.
                     let next = s.links.len() as u32;
-                    let id = *s.link_ids.entry((src, dst, class)).or_insert(next);
-                    if id == next {
+                    let l = *s.link_ids.entry((src, dst, class)).or_insert(next);
+                    if l == next {
                         s.links.push((src, dst, class));
+                        s.link_bw.push(self.link_capacity(src, dst, class)?);
+                        let link_res = &mut s.link_res;
+                        self.for_each_link_resource(src, dst, class, |r| link_res.push(intern(r)))?;
+                        s.link_res_start.push(s.link_res.len() as u32);
                     }
-                    s.op_link.push(id);
+                    let l = l as usize;
+                    s.durations
+                        .push(self.copy_duration(&op.kind, class, s.link_bw[l]));
+                    s.op_res.push(intern(Resource::Stream(stream)));
+                    let (lo, hi) = (
+                        s.link_res_start[l] as usize,
+                        s.link_res_start[l + 1] as usize,
+                    );
+                    s.op_res.extend_from_slice(&s.link_res[lo..hi]);
+                    s.op_link.push(l as u32);
                     s.op_bytes.push(op.kind.payload_bytes());
                 } else {
+                    s.durations.push(self.op_duration(&op.kind)?);
+                    let op_res = &mut s.op_res;
+                    self.for_each_resource(&op.kind, stream, |r| op_res.push(intern(r)))?;
                     s.op_link.push(NO_LINK);
                     s.op_bytes.push(0);
                 }
@@ -616,15 +739,17 @@ impl Simulator {
         s.ready_time.clear();
         s.ready_time.resize(n, 0.0);
         s.heap.clear();
+        s.window.clear();
         for (p_idx, (_, issue)) in entries.iter().enumerate() {
             // Roots become ready at their program's issue timestamp; every
             // other op inherits `>= issue` transitively through its deps.
             for gi in op_base[p_idx]..op_base[p_idx + 1] {
                 if s.indeg[gi] == 0 {
-                    s.heap.push(Ready {
+                    let root = Ready {
                         time: *issue,
                         id: gi,
-                    });
+                    };
+                    admit_ready(&mut s.window, &mut s.heap, root);
                 }
             }
         }
@@ -633,19 +758,18 @@ impl Simulator {
         let mut total = 0.0f64;
         let mut done = 0usize;
 
-        // ---- the zero-allocation K-candidate scan ----
-        while !s.heap.is_empty() {
-            s.pulled.clear();
-            while s.pulled.len() < CANDIDATES {
-                match s.heap.pop() {
-                    Some(r) => s.pulled.push(r),
-                    None => break,
-                }
-            }
+        // ---- the zero-allocation scan over the persistent window ----
+        while !s.window.is_empty() {
             let mut best_idx = 0usize;
             let mut best_start = f64::INFINITY;
             let mut best_key = usize::MAX;
-            for (idx, cand) in s.pulled.iter().enumerate() {
+            for (idx, cand) in s.window.iter().enumerate() {
+                // A candidate starts no earlier than it is ready, and the
+                // window is sorted by ready time: from here on no candidate
+                // can beat `best_start`, even on the tie rule.
+                if cand.time >= best_start + 1e-9 {
+                    break;
+                }
                 let (lo, hi) = (
                     s.op_res_start[cand.id] as usize,
                     s.op_res_start[cand.id + 1] as usize,
@@ -660,11 +784,7 @@ impl Simulator {
                     best_key = cand.id;
                 }
             }
-            let chosen = s.pulled.swap_remove(best_idx);
-            for other in s.pulled.drain(..) {
-                s.heap.push(other);
-            }
-            let Ready { time, id } = chosen;
+            let Ready { time, id } = take_candidate(&mut s.window, &mut s.heap, best_idx);
             let duration = s.durations[id];
             let (lo, hi) = (s.op_res_start[id] as usize, s.op_res_start[id + 1] as usize);
             let mut start = time;
@@ -689,10 +809,11 @@ impl Simulator {
                 s.ready_time[c] = s.ready_time[c].max(end);
                 s.indeg[c] -= 1;
                 if s.indeg[c] == 0 {
-                    s.heap.push(Ready {
+                    let ready = Ready {
                         time: s.ready_time[c],
                         id: c,
-                    });
+                    };
+                    admit_ready(&mut s.window, &mut s.heap, ready);
                 }
             }
         }
@@ -1334,6 +1455,41 @@ mod tests {
         let reference = sim.run_reference(&program).unwrap();
         let fast = sim.run(&program).unwrap();
         assert_reports_bit_identical(&reference, &fast);
+    }
+
+    #[test]
+    fn the_window_holds_the_earliest_ready_ops_in_order() {
+        // Random admissions (with ready-time ties) and removals through the
+        // scheduler's two window operations; after every step the window
+        // must be exactly the CANDIDATES smallest ready entries in (time, id)
+        // order, which is what the reference pops off its heap.
+        let (mut window, mut heap) = (Vec::new(), BinaryHeap::new());
+        let mut ready: Vec<Ready> = Vec::new();
+        let mut state = 0x5eed_u64;
+        for id in 0..1500usize {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let r = (state >> 33) as usize;
+            if !r.is_multiple_of(3) || window.is_empty() {
+                let entry = Ready {
+                    time: (r % 97) as f64 * 0.5,
+                    id,
+                };
+                admit_ready(&mut window, &mut heap, entry.clone());
+                ready.push(entry);
+            } else {
+                let idx = r % window.len();
+                let gone = take_candidate(&mut window, &mut heap, idx);
+                ready.retain(|e| e.id != gone.id);
+            }
+            // `Ready`'s ordering is reversed for the min-heap
+            ready.sort_by(|a, b| b.cmp(a));
+            let expect: Vec<usize> = ready.iter().take(CANDIDATES).map(|e| e.id).collect();
+            let got: Vec<usize> = window.iter().map(|e| e.id).collect();
+            assert_eq!(got, expect, "window after step {id}");
+            assert_eq!(window.len() + heap.len(), ready.len());
+        }
     }
 
     #[test]

@@ -618,3 +618,306 @@ proptest! {
         }
     }
 }
+
+// ---- engine: the persistent candidate window against the reference ----
+
+use blink_sim::{
+    EngineScratch, LinkClass, OpId, OpKind, Program, ProgramBuilder, Segment, SimParams, Simulator,
+    StreamId,
+};
+
+/// SplitMix64: a tiny deterministic generator for shaping random programs.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// A DGX-2 program far wider than the scheduler's 128-op candidate window:
+/// `sources` GPUs each fan a (sometimes segmented) copy out to all 15 peers
+/// on its own stream, so `15 * sources` ops are ready at once, and behind
+/// each fan copy hangs a random chain of forwarding copies, reductions and
+/// compute kernels, some on shared streams. A long kernel opens the program
+/// and gates a second wave of 140 copies, all ready at its end: once the
+/// chains thin out, that wave fills the window's tail, and chain children
+/// that become ready earlier must evict it to be considered. Other children
+/// sort after a full window and go straight to the heap.
+fn wide_dgx2_program(seed: u64, sources: usize) -> Program {
+    let mut rng = seed;
+    let mut b = ProgramBuilder::new();
+    let shared: Vec<StreamId> = (0..6).map(|_| b.new_stream()).collect();
+    let gate_stream = b.new_stream();
+    let gate_us = 80.0 + (splitmix(&mut rng) % 160) as f64;
+    let gate = b.compute(GpuId(0), gate_us, gate_stream, vec![], "gate");
+    for k in 0..140usize {
+        let s = b.new_stream();
+        let src = (splitmix(&mut rng) % 16) as usize;
+        let dst = (src + 1 + k % 15) % 16;
+        let bytes = (1 << 19) + splitmix(&mut rng) % (1 << 20);
+        b.copy(
+            GpuId(src),
+            GpuId(dst),
+            bytes,
+            LinkClass::NvLink,
+            s,
+            vec![gate],
+            "wave",
+        );
+    }
+    for src in 0..sources {
+        for dst in (0..16).filter(|&d| d != src) {
+            let s = b.new_stream();
+            let bytes = (1 << 20) + splitmix(&mut rng) % (3 << 20);
+            let segs = if splitmix(&mut rng).is_multiple_of(3) {
+                vec![
+                    Segment::new(0, bytes / 2),
+                    Segment::new(bytes, bytes - bytes / 2),
+                ]
+            } else {
+                vec![Segment::new(0, bytes)]
+            };
+            let mut last = b.push(
+                OpKind::Copy {
+                    src: GpuId(src),
+                    dst: GpuId(dst),
+                    class: LinkClass::NvLink,
+                    segs,
+                },
+                s,
+                vec![],
+                "fan",
+            );
+            let mut at = dst;
+            for _ in 0..splitmix(&mut rng) % 3 {
+                let stream = match splitmix(&mut rng) % 4 {
+                    0 => shared[(splitmix(&mut rng) % 6) as usize],
+                    _ => s,
+                };
+                last = match splitmix(&mut rng) % 4 {
+                    0 => b.reduce(GpuId(at), bytes, stream, vec![last], "fold"),
+                    1 => b.compute(
+                        GpuId(at),
+                        3.0 + (splitmix(&mut rng) % 40) as f64,
+                        stream,
+                        vec![last],
+                        "k",
+                    ),
+                    _ => {
+                        let next = (at + 1 + (splitmix(&mut rng) % 15) as usize) % 16;
+                        let hop = b.copy(
+                            GpuId(at),
+                            GpuId(next),
+                            bytes,
+                            LinkClass::NvLink,
+                            stream,
+                            vec![last],
+                            "hop",
+                        );
+                        at = next;
+                        hop
+                    }
+                };
+            }
+        }
+    }
+    b.build().expect("wide program is well formed")
+}
+
+/// A DGX-2 program whose window is full of *late* ops: a long kernel gates
+/// a wave of 200 copies, all ready when it ends, while three chains of
+/// small copies and reductions run from time 0. Every chain child is ready
+/// long before the wave, so it must evict the wave's last window entry to
+/// be considered, and it is usually the op that starts earliest.
+fn gated_chains_dgx2_program(seed: u64) -> Program {
+    let mut rng = seed;
+    let mut b = ProgramBuilder::new();
+    let gate_stream = b.new_stream();
+    let gate = b.compute(GpuId(0), 2000.0, gate_stream, vec![], "gate");
+    for _ in 0..200 {
+        let s = b.new_stream();
+        let src = (splitmix(&mut rng) % 16) as usize;
+        let dst = (src + 1 + (splitmix(&mut rng) % 15) as usize) % 16;
+        let bytes = (1 << 16) + splitmix(&mut rng) % (1 << 18);
+        b.copy(
+            GpuId(src),
+            GpuId(dst),
+            bytes,
+            LinkClass::NvLink,
+            s,
+            vec![gate],
+            "wave",
+        );
+    }
+    for _ in 0..3 {
+        let s = b.new_stream();
+        let mut at = (splitmix(&mut rng) % 16) as usize;
+        let mut last: Option<OpId> = None;
+        for _ in 0..40 {
+            let deps: Vec<OpId> = last.into_iter().collect();
+            let bytes = (1 << 14) + splitmix(&mut rng) % (1 << 16);
+            last = Some(if splitmix(&mut rng).is_multiple_of(5) {
+                b.reduce(GpuId(at), bytes, s, deps, "fold")
+            } else {
+                let next = (at + 1 + (splitmix(&mut rng) % 15) as usize) % 16;
+                let hop = b.copy(
+                    GpuId(at),
+                    GpuId(next),
+                    bytes,
+                    LinkClass::NvLink,
+                    s,
+                    deps,
+                    "hop",
+                );
+                at = next;
+                hop
+            });
+        }
+    }
+    b.build().expect("gated program is well formed")
+}
+
+/// The session `programs` admitted at integer `issues` (µs), as one program
+/// the reference scheduler can run: op `p` is a peer-access toggle whose
+/// duration (`issues[p]` GPUs at 1 µs each, exact in floating point) stands
+/// in for program `p`'s issue delay and gates that program's roots; each
+/// program follows on its own streams in admission order. The toggles are
+/// the earliest-ready, earliest-starting ops, so the reference schedules
+/// all of them first and then faces exactly the session's ready set; the
+/// real ops keep the session's relative id order, which is all the
+/// scheduler's tie-break reads.
+fn merge_with_issue_delays(programs: &[&Program], issues: &[u32]) -> Program {
+    let mut b = ProgramBuilder::new();
+    let mut next_stream = 0usize;
+    let delays: Vec<OpId> = issues
+        .iter()
+        .map(|&us| {
+            next_stream += 1;
+            b.toggle_peer_access(us, StreamId(next_stream - 1), vec![], "issue")
+        })
+        .collect();
+    for (p, program) in programs.iter().enumerate() {
+        let base = b.len();
+        let mut streams_seen = std::collections::BTreeSet::new();
+        let mut max_stream = 0usize;
+        for op in program.ops() {
+            let mut deps: Vec<OpId> = op.deps.iter().map(|d| OpId(base + d.0)).collect();
+            if streams_seen.insert(op.stream) && deps.is_empty() {
+                deps.push(delays[p]);
+            }
+            max_stream = max_stream.max(op.stream.0);
+            b.push(
+                op.kind.clone(),
+                StreamId(next_stream + op.stream.0),
+                deps,
+                op.tag.clone(),
+            );
+        }
+        next_stream += max_stream + 1;
+    }
+    b.build().expect("merged program is well formed")
+}
+
+/// Roots of `program`: ops with no explicit dependency that lead their stream.
+fn roots(program: &Program) -> usize {
+    let mut seen = std::collections::BTreeSet::new();
+    program
+        .ops()
+        .iter()
+        .filter(|op| seen.insert(op.stream) && op.deps.is_empty())
+        .count()
+}
+
+fn spans_bit_identical(a: &[(f64, f64)], b: &[(f64, f64)]) -> bool {
+    a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .all(|(x, y)| x.0.to_bits() == y.0.to_bits() && x.1.to_bits() == y.1.to_bits())
+}
+
+fn link_maps_bit_identical(
+    busy_a: &std::collections::BTreeMap<(GpuId, GpuId, LinkClass), f64>,
+    busy_b: &std::collections::BTreeMap<(GpuId, GpuId, LinkClass), f64>,
+    bytes_a: &std::collections::BTreeMap<(GpuId, GpuId, LinkClass), u64>,
+    bytes_b: &std::collections::BTreeMap<(GpuId, GpuId, LinkClass), u64>,
+) -> bool {
+    bytes_a == bytes_b
+        && busy_a.len() == busy_b.len()
+        && busy_a
+            .iter()
+            .zip(busy_b)
+            .all(|((ka, va), (kb, vb))| ka == kb && va.to_bits() == vb.to_bits())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// The fast engine's persistent candidate window and per-link table
+    /// schedule programs wider than the window bit-identically to the
+    /// reference scheduler — spans, makespan, per-link busy time and bytes —
+    /// single programs and staggered multi-program sessions alike, all run
+    /// through one scratch dirtied by the runs before.
+    #[test]
+    fn wide_programs_and_sessions_match_the_reference(
+        seed in any::<u64>(),
+        sources in 10usize..=12,
+        stagger in 1u32..60,
+    ) {
+        let params = SimParams {
+            dpa_per_gpu_us: 1.0,
+            ..SimParams::default()
+        };
+        let sim = Simulator::new(dgx2(), params);
+        let a = wide_dgx2_program(seed, sources);
+        let b = wide_dgx2_program(seed.rotate_left(17), sources - 1);
+        let c = gated_chains_dgx2_program(seed.rotate_left(31));
+        prop_assert!(roots(&a) > 128 && roots(&b) > 128);
+
+        let mut scratch = EngineScratch::new();
+        for program in [&a, &b, &c] {
+            let reference = sim.run_reference(program).unwrap();
+            let fast = sim.run_with_scratch(program, &mut scratch).unwrap();
+            prop_assert_eq!(fast.total_us.to_bits(), reference.total_us.to_bits());
+            prop_assert!(spans_bit_identical(&fast.op_spans, &reference.op_spans));
+            prop_assert!(link_maps_bit_identical(
+                &fast.link_busy_us,
+                &reference.link_busy_us,
+                &fast.link_bytes,
+                &reference.link_bytes
+            ));
+            let mut session = sim.session();
+            session.admit(program.clone(), 0.0);
+            let one = session.run_with_scratch(&mut scratch).unwrap();
+            prop_assert_eq!(one.total_us.to_bits(), reference.total_us.to_bits());
+            prop_assert!(spans_bit_identical(&one.programs[0].op_spans, &reference.op_spans));
+        }
+
+        // a staggered four-program session (one program admitted twice)
+        let programs = [&a, &c, &b, &a];
+        let issues = [0, stagger, stagger, 2 * stagger];
+        let merged = merge_with_issue_delays(&programs, &issues);
+        let reference = sim.run_reference(&merged).unwrap();
+        let mut session = sim.session();
+        for (program, &us) in programs.iter().zip(&issues) {
+            session.admit((*program).clone(), f64::from(us));
+        }
+        let report = session.run_with_scratch(&mut scratch).unwrap();
+        prop_assert_eq!(report.total_us.to_bits(), reference.total_us.to_bits());
+        let mut base = issues.len();
+        for run in &report.programs {
+            let len = run.op_spans.len();
+            prop_assert!(spans_bit_identical(
+                &run.op_spans,
+                &reference.op_spans[base..base + len]
+            ));
+            base += len;
+        }
+        prop_assert!(link_maps_bit_identical(
+            &report.link_busy_us,
+            &reference.link_busy_us,
+            &report.link_bytes,
+            &reference.link_bytes
+        ));
+    }
+}
