@@ -26,8 +26,8 @@
 //! retired from this benchmark's measurement path: three PRs of recorded
 //! trajectory exist, so the naive solvers survive only where they earn their
 //! keep — as the bit-identity/quality oracles the graph crate's unit tests
-//! and the workspace property tests pin the fast paths against (and in the
-//! opt-in criterion harness). The recorded throughput here is consequently
+//! and the workspace property tests pin the fast paths against. The recorded
+//! throughput here is consequently
 //! **absolute** and machine-dependent; it is written for trajectory context,
 //! not gated.
 //!

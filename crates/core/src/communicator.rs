@@ -33,12 +33,14 @@ use blink_graph::{DiGraph, WeightedTree};
 use blink_sim::{
     check_collective, EngineScratch, Program, RunReport, SimParams, Simulator, ValueCheck,
 };
-use blink_topology::presets::{placement_topology, ServerKind};
 use blink_topology::{GpuId, GroupSplit, Topology, TopologyDelta};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
-/// Options for [`Communicator::new`].
+/// Options for [`Communicator::new`] and [`Communicator::with_shared_plans`].
+/// The plan-sharing tier is chosen here (`isolated_plan_cache`,
+/// `canonical_plan_sharing`) unless an explicit [`SharedPlanCache`] is
+/// passed to [`Communicator::with_shared_plans`].
 #[derive(Debug, Clone, Copy)]
 pub struct CommunicatorOptions {
     /// Hardware calibration parameters for the simulator backend.
@@ -55,8 +57,8 @@ pub struct CommunicatorOptions {
     /// communicator attaches to [`global_plan_cache`], so identically shaped
     /// jobs in one process reuse each other's packed trees with no plumbing;
     /// set this for strict isolation (e.g. benchmarks measuring cold packing
-    /// cost). Passing an explicit cache through
-    /// [`Communicator::with_shared_plans`] overrides both behaviours.
+    /// cost). An explicit cache passed to [`Communicator::with_shared_plans`]
+    /// replaces the process-wide tier, and this flag is then ignored.
     pub isolated_plan_cache: bool,
     /// Size threshold for the fusion pass applied by
     /// [`Communicator::run_streamed`]: concurrent same-kind requests smaller
@@ -350,41 +352,50 @@ pub struct Communicator {
 }
 
 impl Communicator {
-    /// Starts a [`CommunicatorBuilder`] over `machine` — the one construction
-    /// path every configuration funnels through. By default the builder
-    /// spans the whole machine, uses default options and attaches to the
-    /// process-wide [`global_plan_cache`].
-    pub fn builder(machine: Topology) -> CommunicatorBuilder {
-        CommunicatorBuilder::on_machine(machine)
-    }
-
-    /// Creates a communicator for `allocation` on `machine`.
+    /// Creates a communicator for `allocation` on `machine` — the one way to
+    /// build a communicator, like `ncclCommInitRank` over the ranks a job was
+    /// given. The allocation may be any induced subgraph: fragmented DGX-1
+    /// quads, partial DGX-2 allocations and multi-server slices (the
+    /// `blink_topology::presets::placement_topology` of a scheduler
+    /// placement, with `gpu_ids()` as the allocation) plan the same way.
+    /// Plans are shared through the process-wide [`global_plan_cache`] unless
+    /// [`CommunicatorOptions::isolated_plan_cache`] opts out.
     ///
-    /// Equivalent to
-    /// `Communicator::builder(machine).allocation(allocation).options(options).build()`.
+    /// ```
+    /// use blink_core::{Communicator, CommunicatorOptions};
+    /// use blink_topology::presets::dgx2;
+    /// use blink_topology::GpuId;
+    ///
+    /// // a partially-allocated DGX-2 communicator with default plan sharing
+    /// let alloc: Vec<GpuId> = vec![GpuId(1), GpuId(4), GpuId(9), GpuId(12)];
+    /// let mut comm = Communicator::new(dgx2(), &alloc, CommunicatorOptions::default()).unwrap();
+    /// let report = comm.broadcast(GpuId(1), 64 << 20).unwrap();
+    /// assert!(report.algorithmic_bandwidth_gbps > 0.0);
+    /// ```
     ///
     /// # Errors
-    /// Fails if the allocation is empty or references unknown GPUs.
+    /// Fails if the allocation is empty, repeats a GPU or references GPUs
+    /// the machine does not have.
     pub fn new(
         machine: Topology,
         allocation: &[GpuId],
         options: CommunicatorOptions,
     ) -> Result<Self> {
-        CommunicatorBuilder::on_machine(machine)
-            .allocation(allocation)
-            .options(options)
-            .build()
+        let plans = if options.isolated_plan_cache {
+            PlanCache::new()
+        } else {
+            PlanCache::new().with_shared(global_plan_cache())
+        };
+        Self::with_plan_cache(machine, allocation, options, plans)
     }
 
-    /// Creates a communicator whose plans are shared with other communicators
-    /// through `shared`: identical job shapes (same induced topology, same
-    /// TreeGen options — e.g. the many equal slices a `blink-sched` workload
-    /// produces) reuse each other's packed trees instead of re-running MWU.
-    /// The three-phase multi-server planner consults the same cache, keyed
-    /// per server-local induced topology.
-    ///
-    /// Equivalent to the builder path with
-    /// [`CommunicatorBuilder::shared_plans`].
+    /// [`Communicator::new`] with an explicit [`SharedPlanCache`] in place of
+    /// the process-wide tier: identical job shapes (same induced topology,
+    /// same TreeGen options — e.g. the many equal slices a `blink-sched`
+    /// workload produces) reuse each other's packed trees instead of
+    /// re-running MWU. The three-phase multi-server planner consults the
+    /// same cache, keyed per server-local induced topology. The fleet
+    /// pipeline passes its own tier so hit-rate accounting stays per fleet.
     ///
     /// # Errors
     /// Same as [`Communicator::new`].
@@ -394,57 +405,8 @@ impl Communicator {
         options: CommunicatorOptions,
         shared: SharedPlanCache,
     ) -> Result<Self> {
-        CommunicatorBuilder::on_machine(machine)
-            .allocation(allocation)
-            .options(options)
-            .shared_plans(shared)
-            .build()
-    }
-
-    /// Creates a communicator directly from a scheduler placement: the
-    /// per-server slices a `blink-sched` `Cluster` handed one job, in its
-    /// `(server index, global GPU ids)` convention. The machine model is the
-    /// placement-induced slice topology
-    /// ([`blink_topology::presets::placement_topology`]) — identical, link
-    /// order and all, to inducing on the full cluster, so plans cached here
-    /// are shared with communicators built either way. Uses the
-    /// process-default [`global_plan_cache`] unless
-    /// [`CommunicatorOptions::isolated_plan_cache`] opts out.
-    ///
-    /// Equivalent to the builder path with
-    /// [`CommunicatorBuilder::from_placement`].
-    ///
-    /// # Errors
-    /// Rejects malformed placements (empty, duplicated GPUs, ids inconsistent
-    /// with their server) and empty allocations.
-    pub fn for_placement(
-        kind: ServerKind,
-        nic_gbps: f64,
-        slices: &[(usize, Vec<GpuId>)],
-        options: CommunicatorOptions,
-    ) -> Result<Self> {
-        CommunicatorBuilder::from_placement(kind, nic_gbps, slices)
-            .options(options)
-            .build()
-    }
-
-    /// [`Communicator::for_placement`] with an explicit [`SharedPlanCache`]
-    /// (the fleet pipeline passes its own tier so hit-rate accounting stays
-    /// per-fleet rather than process-global).
-    ///
-    /// # Errors
-    /// Same as [`Communicator::for_placement`].
-    pub fn for_placement_shared(
-        kind: ServerKind,
-        nic_gbps: f64,
-        slices: &[(usize, Vec<GpuId>)],
-        options: CommunicatorOptions,
-        shared: SharedPlanCache,
-    ) -> Result<Self> {
-        CommunicatorBuilder::from_placement(kind, nic_gbps, slices)
-            .options(options)
-            .shared_plans(shared)
-            .build()
+        let plans = PlanCache::new().with_shared(shared);
+        Self::with_plan_cache(machine, allocation, options, plans)
     }
 
     fn with_plan_cache(
@@ -458,6 +420,12 @@ impl Communicator {
         } else {
             plans
         };
+        let mut seen = BTreeSet::new();
+        if let Some(&g) = allocation.iter().find(|&&g| !seen.insert(g)) {
+            return Err(BlinkError::Planning(format!(
+                "{g} appears twice in the allocation"
+            )));
+        }
         let induced = machine
             .induced(allocation)
             .map_err(|e| BlinkError::Planning(e.to_string()))?;
@@ -1267,149 +1235,13 @@ impl Communicator {
     }
 }
 
-/// Where a [`CommunicatorBuilder`] takes its machine model from.
-#[derive(Debug, Clone)]
-enum BuilderSource {
-    /// An explicit machine topology (optionally restricted to an allocation).
-    Machine(Topology),
-    /// A scheduler placement: per-server slices materialised through
-    /// [`placement_topology`].
-    Placement {
-        kind: ServerKind,
-        nic_gbps: f64,
-        slices: Vec<(usize, Vec<GpuId>)>,
-    },
-}
-
-/// The single construction path for [`Communicator`]s.
-///
-/// Every legacy constructor ([`Communicator::new`],
-/// [`Communicator::with_shared_plans`], [`Communicator::for_placement`],
-/// [`Communicator::for_placement_shared`]) is a thin wrapper over this
-/// builder; new call sites should use it directly:
-///
-/// ```
-/// use blink_core::{Communicator, CommunicatorOptions};
-/// use blink_topology::presets::dgx2;
-/// use blink_topology::GpuId;
-///
-/// // a partially-allocated DGX-2 communicator with default plan sharing
-/// let alloc: Vec<GpuId> = vec![GpuId(1), GpuId(4), GpuId(9), GpuId(12)];
-/// let mut comm = Communicator::builder(dgx2())
-///     .allocation(&alloc)
-///     .build()
-///     .unwrap();
-/// let report = comm.broadcast(GpuId(1), 64 << 20).unwrap();
-/// assert!(report.algorithmic_bandwidth_gbps > 0.0);
-/// ```
-#[derive(Debug, Clone)]
-pub struct CommunicatorBuilder {
-    source: BuilderSource,
-    allocation: Option<Vec<GpuId>>,
-    options: CommunicatorOptions,
-    shared: Option<SharedPlanCache>,
-}
-
-impl CommunicatorBuilder {
-    /// Builds communicators over an explicit machine topology. Defaults:
-    /// whole-machine allocation, default options, process-wide
-    /// [`global_plan_cache`] plan sharing.
-    pub fn on_machine(machine: Topology) -> Self {
-        CommunicatorBuilder {
-            source: BuilderSource::Machine(machine),
-            allocation: None,
-            options: CommunicatorOptions::default(),
-            shared: None,
-        }
-    }
-
-    /// Builds communicators from a scheduler placement (`(server index,
-    /// global GPU ids)` slices), materialised through
-    /// [`placement_topology`] at [`CommunicatorBuilder::build`] time. The
-    /// allocation is the whole slice topology.
-    pub fn from_placement(kind: ServerKind, nic_gbps: f64, slices: &[(usize, Vec<GpuId>)]) -> Self {
-        CommunicatorBuilder {
-            source: BuilderSource::Placement {
-                kind,
-                nic_gbps,
-                slices: slices.to_vec(),
-            },
-            allocation: None,
-            options: CommunicatorOptions::default(),
-            shared: None,
-        }
-    }
-
-    /// Restricts the communicator to `allocation` (any induced subgraph —
-    /// fragmented DGX-1 quads and partial DGX-2 allocations plan the same
-    /// way). Without this the communicator spans every GPU of the machine.
-    pub fn allocation(mut self, allocation: &[GpuId]) -> Self {
-        self.allocation = Some(allocation.to_vec());
-        self
-    }
-
-    /// Replaces the whole option set.
-    pub fn options(mut self, options: CommunicatorOptions) -> Self {
-        self.options = options;
-        self
-    }
-
-    /// Attaches an explicit cross-communicator plan-sharing tier instead of
-    /// the process-wide [`global_plan_cache`].
-    pub fn shared_plans(mut self, shared: SharedPlanCache) -> Self {
-        self.shared = Some(shared);
-        self
-    }
-
-    /// Opts out of plan sharing entirely (shorthand for setting
-    /// [`CommunicatorOptions::isolated_plan_cache`]); an explicit
-    /// [`CommunicatorBuilder::shared_plans`] tier still wins.
-    pub fn isolated_plans(mut self) -> Self {
-        self.options.isolated_plan_cache = true;
-        self
-    }
-
-    /// Enables isomorphism-level plan sharing (shorthand for setting
-    /// [`CommunicatorOptions::canonical_plan_sharing`]).
-    pub fn canonical_plan_sharing(mut self) -> Self {
-        self.options.canonical_plan_sharing = true;
-        self
-    }
-
-    /// Builds the communicator.
-    ///
-    /// # Errors
-    /// Empty or unknown allocations, malformed placements.
-    pub fn build(self) -> Result<Communicator> {
-        let machine = match self.source {
-            BuilderSource::Machine(machine) => machine,
-            BuilderSource::Placement {
-                kind,
-                nic_gbps,
-                slices,
-            } => placement_topology(kind, nic_gbps, &slices)
-                .map_err(|e| BlinkError::Planning(e.to_string()))?,
-        };
-        let allocation = match self.allocation {
-            Some(allocation) => allocation,
-            None => machine.gpu_ids(),
-        };
-        let plans = match self.shared {
-            Some(shared) => PlanCache::new().with_shared(shared),
-            None if self.options.isolated_plan_cache => PlanCache::new(),
-            None => PlanCache::new().with_shared(global_plan_cache()),
-        };
-        Communicator::with_plan_cache(machine, &allocation, self.options, plans)
-    }
-}
-
 /// The largest connected component of `allocation` over `induced`'s links
 /// (any class, treated as undirected), in allocation order. Ties between
 /// equal-sized components go to the one discovered first — i.e. the one
 /// containing the earliest allocation GPU — so the shrink rung of the
 /// degradation ladder is deterministic.
 fn largest_connected_component(induced: &Topology, allocation: &[GpuId]) -> Vec<GpuId> {
-    use std::collections::{BTreeSet, VecDeque};
+    use std::collections::VecDeque;
     let mut adj: BTreeMap<GpuId, BTreeSet<GpuId>> = BTreeMap::new();
     for l in induced.links() {
         adj.entry(l.src).or_default().insert(l.dst);
@@ -1447,7 +1279,9 @@ fn largest_connected_component(induced: &Topology, allocation: &[GpuId]) -> Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use blink_topology::presets::{dgx1p, dgx1v, dgx2, multi_server, ServerKind};
+    use blink_topology::presets::{
+        dgx1p, dgx1v, dgx2, multi_server, placement_topology, ServerKind,
+    };
 
     fn mb(n: u64) -> u64 {
         n * 1024 * 1024
@@ -1508,11 +1342,11 @@ mod tests {
         // packed spanning trees (aggregate (m−1)·b) must win; AllReduce
         // spreads one-hop roots over every member and keeps its edge.
         let alloc: Vec<GpuId> = [1, 4, 9, 12, 14].into_iter().map(GpuId).collect();
-        let mut comm = Communicator::builder(dgx2())
-            .allocation(&alloc)
-            .isolated_plans()
-            .build()
-            .unwrap();
+        let isolated = CommunicatorOptions {
+            isolated_plan_cache: true,
+            ..Default::default()
+        };
+        let mut comm = Communicator::new(dgx2(), &alloc, isolated).unwrap();
         let bcast = comm.broadcast(GpuId(4), mb(256)).unwrap();
         assert!(
             bcast
@@ -1532,11 +1366,7 @@ mod tests {
         assert!(check.is_correct(), "{check}");
         // a competing call reports the winner's competition run, which is
         // exactly what simulating the returned program gives
-        let mut fresh = Communicator::builder(dgx2())
-            .allocation(&alloc)
-            .isolated_plans()
-            .build()
-            .unwrap();
+        let mut fresh = Communicator::new(dgx2(), &alloc, isolated).unwrap();
         for kind in [
             CollectiveKind::Broadcast { root: GpuId(4) },
             CollectiveKind::AllReduce,
@@ -1548,37 +1378,69 @@ mod tests {
         }
     }
 
+    /// Whether two shared-tier handles reach one store: a plan published
+    /// through `a` under the synthetic fingerprint `fp` (which no real
+    /// communicator can collide with) is visible through `b`.
+    fn same_store(a: &SharedPlanCache, b: &SharedPlanCache, fp: u64) -> bool {
+        let induced = dgx1v().induced(&[GpuId(0), GpuId(1)]).unwrap();
+        let opts = TreeGenOptions::default();
+        let plan = PlanCache::new()
+            .plan_for(&induced, &opts, GpuId(0))
+            .unwrap()
+            .clone();
+        a.insert(fp, GpuId(999), opts.links, std::sync::Arc::new(plan));
+        b.get(fp, GpuId(999), opts.links).is_some()
+    }
+
     #[test]
-    fn builder_is_the_single_construction_path() {
-        // the legacy constructors are thin wrappers: same allocation, same
-        // options, same plan-sharing behaviour, bit-identical execution
+    fn constructors_attach_the_plan_tier_the_options_ask_for() {
         let alloc: Vec<GpuId> = (0..4).map(GpuId).collect();
-        let mut legacy =
-            Communicator::new(dgx1v(), &alloc, CommunicatorOptions::default()).unwrap();
-        let mut built = Communicator::builder(dgx1v())
-            .allocation(&alloc)
-            .build()
-            .unwrap();
-        let a = legacy.broadcast(GpuId(0), mb(64)).unwrap();
-        let b = built.broadcast(GpuId(0), mb(64)).unwrap();
-        assert_eq!(a.strategy, b.strategy);
-        assert_eq!(a.elapsed_us.to_bits(), b.elapsed_us.to_bits());
-        // omitting .allocation() spans the whole machine
-        let whole = Communicator::builder(dgx1v()).build().unwrap();
-        assert_eq!(whole.allocation().len(), 8);
-        // builder-level opt-outs mirror the options flags
-        let isolated = Communicator::builder(dgx1v())
-            .allocation(&alloc)
-            .isolated_plans()
-            .build()
-            .unwrap();
+        let isolated = Communicator::new(
+            dgx1v(),
+            &alloc,
+            CommunicatorOptions {
+                isolated_plan_cache: true,
+                ..Default::default()
+            },
+        )
+        .unwrap();
         assert!(isolated.plan_shared_cache().is_none());
-        let canonical = Communicator::builder(dgx1v())
-            .allocation(&alloc)
-            .canonical_plan_sharing()
-            .build()
-            .unwrap();
-        assert!(canonical.options().canonical_plan_sharing);
+        // the default options attach the process-wide tier
+        let default = Communicator::new(dgx1v(), &alloc, Default::default()).unwrap();
+        let attached = default.plan_shared_cache().unwrap();
+        assert!(same_store(&attached, &global_plan_cache(), u64::MAX - 1));
+        // an explicit tier replaces it
+        let own = SharedPlanCache::new();
+        let explicit =
+            Communicator::with_shared_plans(dgx1v(), &alloc, Default::default(), own.clone())
+                .unwrap();
+        let attached = explicit.plan_shared_cache().unwrap();
+        assert!(same_store(&attached, &own, u64::MAX - 2));
+        assert!(!same_store(&attached, &global_plan_cache(), u64::MAX - 3));
+        let canonical = Communicator::new(
+            dgx1v(),
+            &alloc,
+            CommunicatorOptions {
+                canonical_plan_sharing: true,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        assert!(canonical.plans.canonical_sharing_enabled());
+    }
+
+    #[test]
+    fn a_repeated_gpu_is_rejected() {
+        let alloc = [GpuId(0), GpuId(1), GpuId(1), GpuId(2)];
+        let err = Communicator::new(dgx1v(), &alloc, Default::default()).unwrap_err();
+        assert!(
+            matches!(&err, BlinkError::Planning(m) if m.contains("GPU1 appears twice")),
+            "{err}"
+        );
+        let shared = SharedPlanCache::new();
+        assert!(
+            Communicator::with_shared_plans(dgx1v(), &alloc, Default::default(), shared).is_err()
+        );
     }
 
     #[test]
@@ -1612,9 +1474,9 @@ mod tests {
             (0usize, vec![GpuId(1), GpuId(4)]),
             (1usize, vec![GpuId(8), GpuId(9)]),
         ];
-        let mut comm =
-            Communicator::for_placement(ServerKind::Dgx1V, 5.0, &slices, Default::default())
-                .unwrap();
+        let machine = placement_topology(ServerKind::Dgx1V, 5.0, &slices).unwrap();
+        let alloc = machine.gpu_ids();
+        let mut comm = Communicator::new(machine, &alloc, Default::default()).unwrap();
         assert!(comm.is_multi_server());
         let (report, check) = comm.run_checked(CollectiveKind::AllReduce, mb(16)).unwrap();
         assert!(
@@ -1642,10 +1504,11 @@ mod tests {
             (0usize, (0..4).map(GpuId).collect::<Vec<_>>()),
             (1usize, (8..12).map(GpuId).collect::<Vec<_>>()),
         ];
-        let mut a = Communicator::for_placement_shared(
-            ServerKind::Dgx1V,
-            5.0,
-            &slices,
+        let placed = placement_topology(ServerKind::Dgx1V, 5.0, &slices).unwrap();
+        let placed_alloc = placed.gpu_ids();
+        let mut a = Communicator::with_shared_plans(
+            placed,
+            &placed_alloc,
             Default::default(),
             shared.clone(),
         )

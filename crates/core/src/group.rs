@@ -83,13 +83,12 @@ impl ProcessGroups {
         };
         let mut children = Vec::with_capacity(partitions.len());
         for group in &partitions {
-            children.push(
-                Communicator::builder(machine.clone())
-                    .allocation(group)
-                    .options(options)
-                    .shared_plans(shared.clone())
-                    .build()?,
-            );
+            children.push(Communicator::with_shared_plans(
+                machine.clone(),
+                group,
+                options,
+                shared.clone(),
+            )?);
         }
         let sim = Simulator::new(machine.clone(), options.sim_params);
         Ok(ProcessGroups {
@@ -246,12 +245,22 @@ mod tests {
         v.iter().map(|&i| GpuId(i)).collect()
     }
 
+    fn isolated() -> CommunicatorOptions {
+        CommunicatorOptions {
+            isolated_plan_cache: true,
+            ..Default::default()
+        }
+    }
+
+    /// A whole-machine parent communicator with no shared plan tier.
+    fn whole(machine: Topology) -> Communicator {
+        let alloc = machine.gpu_ids();
+        Communicator::new(machine, &alloc, isolated()).unwrap()
+    }
+
     #[test]
     fn stride_split_runs_concurrent_allreduces_that_pass_the_oracle() {
-        let parent = Communicator::builder(dgx1v())
-            .isolated_plans()
-            .build()
-            .unwrap();
+        let parent = whole(dgx1v());
         let mut groups = parent.split(&GroupSplit::ByStride(2)).unwrap();
         assert_eq!(groups.len(), 2);
         assert_eq!(groups.groups()[0].allocation(), ids(&[0, 2, 4, 6]));
@@ -273,10 +282,7 @@ mod tests {
     fn isomorphic_subgroups_share_plans_canonically() {
         // The two stride halves of a DGX-1V are isomorphic 4-GPU topologies:
         // the second subgroup must hit the canonical tier, not pack again.
-        let parent = Communicator::builder(dgx1v())
-            .isolated_plans()
-            .build()
-            .unwrap();
+        let parent = whole(dgx1v());
         let mut groups = parent.split(&GroupSplit::ByStride(2)).unwrap();
         let shared = groups.groups()[0].plan_shared_cache().unwrap();
         let requests = vec![(CollectiveKind::AllReduce, 16 << 20); 2];
@@ -290,11 +296,7 @@ mod tests {
     fn by_server_split_isolates_servers_and_handles_singletons() {
         let machine = multi_server(2, ServerKind::Dgx1V, 5.0);
         let alloc = ids(&[0, 1, 2, 3, 8]);
-        let mut parent = Communicator::builder(machine)
-            .allocation(&alloc)
-            .isolated_plans()
-            .build()
-            .unwrap();
+        let mut parent = Communicator::new(machine, &alloc, isolated()).unwrap();
         let mut groups = parent.split(&GroupSplit::ByServer).unwrap();
         assert_eq!(groups.len(), 2);
         assert_eq!(groups.groups()[1].allocation(), ids(&[8]));
@@ -315,10 +317,7 @@ mod tests {
 
     #[test]
     fn explicit_dgx2_subgroups_plan_packed_trees_concurrently() {
-        let parent = Communicator::builder(dgx2())
-            .isolated_plans()
-            .build()
-            .unwrap();
+        let parent = whole(dgx2());
         let split = GroupSplit::Explicit(vec![ids(&[0, 3, 7, 11]), ids(&[1, 5, 9])]);
         let mut groups = parent.split(&split).unwrap();
         let requests = vec![
@@ -337,10 +336,7 @@ mod tests {
 
     #[test]
     fn request_arity_must_match_subgroups() {
-        let parent = Communicator::builder(dgx1v())
-            .isolated_plans()
-            .build()
-            .unwrap();
+        let parent = whole(dgx1v());
         let mut groups = parent.split(&GroupSplit::ByStride(2)).unwrap();
         assert!(groups
             .run_concurrent(&[(CollectiveKind::AllReduce, 1 << 20)])
@@ -352,10 +348,7 @@ mod tests {
         // Two stride subgroups of one DGX-1V share GPUs' injection ports and
         // some NVLink lanes; running them together must not finish faster
         // than the slower of the two running alone.
-        let parent = Communicator::builder(dgx1v())
-            .isolated_plans()
-            .build()
-            .unwrap();
+        let parent = whole(dgx1v());
         let mut groups = parent.split(&GroupSplit::ByStride(2)).unwrap();
         let bytes = 32 << 20;
         let requests = vec![(CollectiveKind::AllReduce, bytes); 2];

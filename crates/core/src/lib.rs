@@ -51,8 +51,9 @@
 //!
 //! # Process groups and strategy selection
 //!
-//! Communicators are built through one path, [`CommunicatorBuilder`]
-//! ([`Communicator::builder`]); the historical constructors delegate to it.
+//! Communicators are built through one path, [`Communicator::new`] over a
+//! machine and an allocation, like `ncclCommInitRank` over a job's ranks;
+//! [`Communicator::with_shared_plans`] adds an explicit plan-sharing tier.
 //! A communicator spans any induced subgraph of its machine — fragmented
 //! DGX-1 quads and *partially allocated* DGX-2 NVSwitch fabrics plan the
 //! same way. On all-to-all switch fabrics there is no hard-wired strategy:
@@ -134,8 +135,8 @@ pub use autotune::{
 pub use codegen::{CodeGen, CodeGenOptions};
 pub use collective::{CollectiveKind, CollectiveReport};
 pub use communicator::{
-    Communicator, CommunicatorBuilder, CommunicatorOptions, DegradationLevel, RepairPath,
-    ReplanReport, StreamedGroup, StreamedRun,
+    Communicator, CommunicatorOptions, DegradationLevel, RepairPath, ReplanReport, StreamedGroup,
+    StreamedRun,
 };
 pub use fusion::{fuse_requests, fusible, restrict_to_window, FusedGroup};
 pub use group::{GroupCollective, GroupRun, ProcessGroups};

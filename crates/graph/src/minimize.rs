@@ -41,8 +41,8 @@
 //!   here at all.
 //!
 //! The pre-optimisation path survives in
-//! [`crate::baseline::minimize_trees_naive`] for the perf harness; a
-//! regression test pins the two bit-identical on the DGX presets.
+//! [`crate::baseline::minimize_trees_naive`] as an oracle; a regression
+//! test pins the two bit-identical on the DGX presets.
 //!
 //! Parallel edges between the same node pair are treated as pooled capacity
 //! (the unified [`DiGraph::capacity_between`] semantics): each pair's

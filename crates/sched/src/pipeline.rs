@@ -59,9 +59,9 @@ pub struct FleetConfig {
     /// session; 0 disables the sampling. Subgroups of isomorphic shape reuse
     /// one packed plan through the fleet cache's canonical tier.
     pub subgroup_lift_every: usize,
-    /// Options for every job communicator. The pipeline always passes its
-    /// own shared plan cache explicitly, so `isolated_plan_cache` has no
-    /// effect here.
+    /// Options for every job communicator. The pipeline builds each one with
+    /// [`Communicator::with_shared_plans`] over the fleet's own plan cache,
+    /// so `isolated_plan_cache` has no effect here.
     pub comm_options: CommunicatorOptions,
     /// Seeded fault injection: `Some` weaves the deterministic fault
     /// schedule into the loop (see the crate-level "failure model" docs);
@@ -378,13 +378,7 @@ impl FleetPipeline {
             let place = self.monitor.commit(place);
 
             let plan = self.monitor.begin(job.id, Stage::Plan);
-            let mut comm = Communicator::for_placement_shared(
-                self.config.server_kind,
-                self.config.nic_gbps,
-                &placement.slices,
-                self.config.comm_options,
-                self.shared.clone(),
-            )?;
+            let mut comm = self.placement_comm(&placement)?;
             // A job placed while faults are in force starts degraded: links
             // the scheduler cannot see around (flaps between healthy GPUs,
             // degraded NICs) are replayed into the fresh communicator.
@@ -951,17 +945,29 @@ impl FleetPipeline {
         Ok(())
     }
 
+    /// A fresh communicator over `placement`: the placement-induced slice
+    /// topology, spanned whole, planning through the fleet's shared tier.
+    fn placement_comm(&self, placement: &Placement) -> blink_core::Result<Communicator> {
+        let machine = placement_topology(
+            self.config.server_kind,
+            self.config.nic_gbps,
+            &placement.slices,
+        )
+        .map_err(|e| BlinkError::Planning(e.to_string()))?;
+        let allocation = machine.gpu_ids();
+        Communicator::with_shared_plans(
+            machine,
+            &allocation,
+            self.config.comm_options,
+            self.shared.clone(),
+        )
+    }
+
     /// Builds the communicator for a successfully re-placed retry and runs
     /// its restart collective. The job keeps its original outcome entry; a
     /// retry only restores it to the running set.
     fn admit_retry(&mut self, job: &Job, placement: Placement) -> blink_core::Result<()> {
-        let mut comm = Communicator::for_placement_shared(
-            self.config.server_kind,
-            self.config.nic_gbps,
-            &placement.slices,
-            self.config.comm_options,
-            self.shared.clone(),
-        )?;
+        let mut comm = self.placement_comm(&placement)?;
         self.degrade_fresh(&mut comm, &placement)?;
         let report = comm.run(CollectiveKind::AllReduce, self.config.collective_bytes)?;
         self.running.insert(

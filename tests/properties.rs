@@ -576,8 +576,8 @@ fn check_contended_placement(
         isolated_plan_cache: true,
         ..Default::default()
     };
-    let mut comm =
-        Communicator::for_placement(kind, 5.0, &slices, options).map_err(|e| e.to_string())?;
+    let allocation = direct.gpu_ids();
+    let mut comm = Communicator::new(direct, &allocation, options).map_err(|e| e.to_string())?;
     if comm.allocation() != flat {
         return Err(format!(
             "allocation {:?} disagrees with the scheduler's GPU ids {:?}",
