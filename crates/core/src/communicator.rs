@@ -2,11 +2,17 @@
 //! pipeline (probe → TreeGen → CodeGen → execute).
 //!
 //! A [`Communicator`] is created for one job's GPU allocation, exactly like
-//! `ncclCommInitRank` creates a communicator for a set of ranks. Each
-//! collective call plans (or reuses) the tree set for the current strategy,
-//! lowers it to a transfer program with the current chunk size, executes it on
-//! the simulator, feeds the measured throughput back into the MIAD chunk
-//! tuner, and returns a [`CollectiveReport`].
+//! `ncclCommInitRank` creates a communicator for a set of ranks. The first
+//! call of each collective signature — kind, byte count and chunk size —
+//! plans (or reuses) the tree set for the current strategy and lowers it to a
+//! transfer program, which the communicator memoises: a training loop
+//! re-issuing the same gradient collectives every iteration lowers each of
+//! them once, as Blink's CodeGen does. Every call then executes the
+//! signature's program on the simulator by reference, feeds the measured
+//! throughput back into the MIAD chunk tuner, and returns a
+//! [`CollectiveReport`]. The memo holds at most a fixed number of signatures
+//! (least recently used out) and is cleared by [`Communicator::replan`], the
+//! only thing that can change what a signature lowers to.
 //!
 //! When the fabric changes underneath a live job, [`Communicator::replan`]
 //! takes a [`TopologyDelta`] and recovers in place: the plan cache demotes
@@ -35,7 +41,8 @@ use blink_sim::{
 };
 use blink_topology::{GpuId, GroupSplit, Topology, TopologyDelta};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::Arc;
 
 /// Options for [`Communicator::new`] and [`Communicator::with_shared_plans`].
 /// The plan-sharing tier is chosen here (`isolated_plan_cache`,
@@ -251,26 +258,82 @@ pub struct ReplanReport {
 /// replays: the lowered program and the engine's per-op `(start, end)` spans.
 pub type TracedRun = (CollectiveReport, Program, Vec<(f64, f64)>);
 
-/// A collective lowered to a program by [`Communicator::build_program`].
+/// A collective lowered to a program by [`Communicator::build_program`] and
+/// memoised per signature: calls run (and the oracle checks) the program in
+/// place, and only [`Communicator::run_traced`] and the streamed/grouped
+/// results, which hand out an owned [`Program`], copy it.
+#[derive(Debug)]
 pub(crate) struct Lowering {
     pub(crate) program: Program,
     /// Trees (or partitions) the program spreads the buffer over.
     pub(crate) num_trees: usize,
     pub(crate) strategy: String,
-    /// The engine's run of `program` on this communicator's simulator, when
-    /// choosing the lowering already simulated it (the switch-fabric
-    /// competition), so a caller that needs the run does not repeat it.
-    pub(crate) report: Option<RunReport>,
 }
 
-impl Lowering {
-    fn unsimulated(program: Program, num_trees: usize, strategy: String) -> Self {
-        Lowering {
-            program,
-            num_trees,
-            strategy,
-            report: None,
+/// A fresh lowering, plus the engine's run of its program when choosing the
+/// lowering already simulated it (the switch-fabric competition), so a
+/// caller that needs the run does not repeat it.
+type Lowered = (Lowering, Option<RunReport>);
+
+fn unsimulated(program: Program, num_trees: usize, strategy: String) -> Lowered {
+    let lowering = Lowering {
+        program,
+        num_trees,
+        strategy,
+    };
+    (lowering, None)
+}
+
+/// One call's report, the lowering it ran (`None` for a trivial call: single
+/// GPU or empty buffer) and the engine's per-op spans: a [`TracedRun`]
+/// before any program is copied out of the memo.
+type Call = (CollectiveReport, Option<Arc<Lowering>>, Vec<(f64, f64)>);
+
+/// A collective signature: every per-call input of
+/// [`Communicator::build_program`] — kind (with its root), bytes and chunk
+/// size. Everything else a lowering reads is fixed between replans.
+type Signature = (CollectiveKind, u64, u64);
+
+/// How many signatures a [`ProgramMemo`] holds. A training job issues a
+/// handful per communicator (one per gradient bucket size and collective);
+/// the cap only stops autotuned chunk sizes and one-off sizes from growing
+/// the memo without bound.
+const PROGRAM_MEMO_CAP: usize = 64;
+
+/// Lowered programs per [`Signature`], at most [`PROGRAM_MEMO_CAP`] of them;
+/// a miss on a full memo evicts the least recently used signature.
+#[derive(Debug, Default)]
+struct ProgramMemo {
+    /// Signature → (last-use stamp, lowering).
+    entries: HashMap<Signature, (u64, Arc<Lowering>)>,
+    clock: u64,
+}
+
+impl ProgramMemo {
+    fn get(&mut self, sig: &Signature) -> Option<Arc<Lowering>> {
+        let (stamp, lowering) = self.entries.get_mut(sig)?;
+        self.clock += 1;
+        *stamp = self.clock;
+        Some(Arc::clone(lowering))
+    }
+
+    fn insert(&mut self, sig: Signature, lowering: Arc<Lowering>) {
+        if self.entries.len() >= PROGRAM_MEMO_CAP {
+            let oldest = self
+                .entries
+                .iter()
+                .min_by_key(|(_, (stamp, _))| *stamp)
+                .map(|(&sig, _)| sig);
+            if let Some(oldest) = oldest {
+                self.entries.remove(&oldest);
+            }
         }
+        self.clock += 1;
+        self.entries.insert(sig, (self.clock, lowering));
+    }
+
+    fn clear(&mut self) {
+        self.entries.clear();
     }
 }
 
@@ -344,6 +407,12 @@ pub struct Communicator {
     /// Memoised winner of the one-hop-vs-packed simulate-off per collective
     /// signature on switch fabrics; cleared by [`Communicator::replan`].
     switch_strategy: BTreeMap<String, SwitchChoice>,
+    /// Memoised lowered programs per collective signature. A program is a
+    /// pure function of its signature and of the machine, allocation,
+    /// options, simulator parameters, picked root, hybrid planners and
+    /// switch winners, all of which change only in [`Communicator::replan`],
+    /// which clears this memo with them.
+    programs: ProgramMemo,
     /// Reusable engine buffers: the autotune loop executes one program per
     /// collective call, and the interned-resource scheduler's prepass tables
     /// amortise across all of them (see `blink_sim::engine`'s scratch-reuse
@@ -442,6 +511,7 @@ impl Communicator {
             spannable: BTreeMap::new(),
             hybrids: BTreeMap::new(),
             switch_strategy: BTreeMap::new(),
+            programs: ProgramMemo::default(),
             engine_scratch: EngineScratch::new(),
         })
     }
@@ -525,16 +595,48 @@ impl Communicator {
         self.run(CollectiveKind::ReduceScatter, bytes)
     }
 
-    /// Runs an arbitrary collective.
+    /// Runs an arbitrary collective on its signature's memoised program.
     pub fn run(&mut self, kind: CollectiveKind, bytes: u64) -> Result<CollectiveReport> {
-        self.run_traced(kind, bytes).map(|(report, _, _)| report)
+        self.call(kind, bytes).map(|(report, _, _)| report)
     }
 
     /// Runs a collective and also returns the lowered program plus the
     /// engine's per-op `(start, end)` spans — exactly the inputs the
-    /// value-level oracle needs. Trivial calls (single GPU, empty buffer)
-    /// return an empty program and no spans.
+    /// value-level oracle needs. The program is a copy of the memoised one
+    /// (the caller owns the result), so hot loops that need only the report
+    /// or the oracle's verdict call [`Communicator::run`] or
+    /// [`Communicator::run_checked`], which copy nothing. Trivial calls
+    /// (single GPU, empty buffer) return an empty program and no spans.
     pub fn run_traced(&mut self, kind: CollectiveKind, bytes: u64) -> Result<TracedRun> {
+        let (report, lowering, spans) = self.call(kind, bytes)?;
+        let program = lowering.map_or_else(Program::default, |l| l.program.clone());
+        Ok((report, program, spans))
+    }
+
+    /// Runs a collective end to end and replays the executed program through
+    /// the value-level oracle ([`blink_sim::check_collective`]): the returned
+    /// [`ValueCheck`] proves (or refutes, with pinpointed byte ranges) that
+    /// every participant ended holding exactly the bytes the collective's
+    /// contract requires. This is the conformance entry point CI drives for
+    /// every strategy — packed trees, one-hop switch trees, hybrid, PCIe
+    /// fallback and the three-phase multi-server protocol all lower through
+    /// range-carrying ops, so the same oracle covers them all. The oracle
+    /// replays the memoised program in place; nothing is copied.
+    pub fn run_checked(
+        &mut self,
+        kind: CollectiveKind,
+        bytes: u64,
+    ) -> Result<(CollectiveReport, ValueCheck)> {
+        let (report, lowering, spans) = self.call(kind, bytes)?;
+        let trivial = Program::default();
+        let program = lowering.as_deref().map_or(&trivial, |l| &l.program);
+        let check = check_collective(kind.spec(), program, &spans, &self.allocation, bytes);
+        Ok((report, check))
+    }
+
+    /// One collective call: lowers the signature on a memo miss, runs its
+    /// program, and feeds the chunk tuner.
+    fn call(&mut self, kind: CollectiveKind, bytes: u64) -> Result<Call> {
         if self.allocation.len() < 2 || bytes == 0 {
             let report = CollectiveReport {
                 kind,
@@ -545,23 +647,13 @@ impl Communicator {
                 chunk_bytes: 0,
                 strategy: "trivial (single GPU or empty buffer)".to_string(),
             };
-            return Ok((report, Program::default(), Vec::new()));
-        }
-        for &g in &self.allocation {
-            if !self.machine.contains(g) {
-                return Err(BlinkError::Planning(format!("GPU {g} not in topology")));
-            }
+            return Ok((report, None, Vec::new()));
         }
         let chunk = self.current_chunk(kind, bytes);
-        let Lowering {
-            program,
-            num_trees,
-            strategy,
-            report,
-        } = self.build_program(kind, bytes, chunk)?;
+        let (lowering, report) = self.lowering(kind, bytes, chunk)?;
         let report = match report {
             Some(report) => report,
-            None => self.simulate(&program)?,
+            None => self.simulate(&lowering.program)?,
         };
         let gbps = report.algorithmic_bandwidth_gbps(bytes);
         self.observe_chunk(kind, bytes, gbps);
@@ -570,29 +662,30 @@ impl Communicator {
             bytes,
             elapsed_us: report.total_us,
             algorithmic_bandwidth_gbps: gbps,
-            num_trees,
+            num_trees: lowering.num_trees,
             chunk_bytes: chunk,
-            strategy,
+            strategy: lowering.strategy.clone(),
         };
-        Ok((collective_report, program, report.op_spans))
+        Ok((collective_report, Some(lowering), report.op_spans))
     }
 
-    /// Runs a collective end to end and replays the executed program through
-    /// the value-level oracle ([`blink_sim::check_collective`]): the returned
-    /// [`ValueCheck`] proves (or refutes, with pinpointed byte ranges) that
-    /// every participant ended holding exactly the bytes the collective's
-    /// contract requires. This is the conformance entry point CI drives for
-    /// every strategy — packed trees, one-hop switch trees, hybrid, PCIe
-    /// fallback and the three-phase multi-server protocol all lower through
-    /// range-carrying ops, so the same oracle covers them all.
-    pub fn run_checked(
+    /// The signature's memoised lowering, built by
+    /// [`Communicator::build_program`] on a miss. On a miss whose lowering
+    /// already simulated its program, that run comes back too.
+    pub(crate) fn lowering(
         &mut self,
         kind: CollectiveKind,
         bytes: u64,
-    ) -> Result<(CollectiveReport, ValueCheck)> {
-        let (report, program, spans) = self.run_traced(kind, bytes)?;
-        let check = check_collective(kind.spec(), &program, &spans, &self.allocation, bytes);
-        Ok((report, check))
+        chunk: u64,
+    ) -> Result<(Arc<Lowering>, Option<RunReport>)> {
+        let sig = (kind, bytes, chunk);
+        if let Some(lowering) = self.programs.get(&sig) {
+            return Ok((lowering, None));
+        }
+        let (lowering, report) = self.build_program(kind, bytes, chunk)?;
+        let lowering = Arc::new(lowering);
+        self.programs.insert(sig, Arc::clone(&lowering));
+        Ok((lowering, report))
     }
 
     /// Streams several concurrent same-kind collectives through one
@@ -604,10 +697,12 @@ impl Communicator {
     /// gradient bucket finishes backprop). When `kind` is fusible (see
     /// [`crate::fusion::fusible`]) the fusion pass first batches consecutive
     /// requests under [`CommunicatorOptions::fusion_threshold_bytes`] into
-    /// single segmented programs; each resulting program is lowered once,
-    /// admitted at the latest ready time of its members, and all programs
-    /// contend for links inside one session. Zero-byte requests complete at
-    /// their ready time and appear in no group.
+    /// single segmented programs; each resulting program comes from the
+    /// signature memo (lowered on its first use), is issued at the latest
+    /// ready time of its members, and all programs contend for links inside
+    /// one session scheduled over the memoised programs in place
+    /// ([`Simulator::run_session`]). Zero-byte requests complete at their
+    /// ready time and appear in no group.
     ///
     /// The MIAD chunk tuner is *not* fed from streamed runs: per-group
     /// bandwidth under cross-program contention would mislead it.
@@ -635,38 +730,36 @@ impl Communicator {
         };
         let groups = fuse_requests(&sizes, threshold);
         // lower every group first (planning borrows the communicator
-        // mutably), then admit the programs into one shared session
+        // mutably), then schedule the programs in one shared session
         let mut lowered = Vec::with_capacity(groups.len());
         for group in groups {
             let bytes = group.total_bytes;
             let chunk = self.current_chunk(kind, bytes);
-            let Lowering {
-                program, strategy, ..
-            } = self.build_program(kind, bytes, chunk)?;
+            let (lowering, _) = self.lowering(kind, bytes, chunk)?;
             let issue_us = group
                 .members
                 .iter()
                 .map(|&i| requests[i].1)
                 .fold(0.0f64, f64::max);
-            lowered.push((group, issue_us, program, strategy));
+            lowered.push((group, issue_us, lowering));
         }
-        let mut session = self.sim.session();
-        for (_, issue_us, program, _) in &lowered {
-            session.admit(program.clone(), *issue_us);
-        }
-        let report = session
-            .run_with_scratch(&mut self.engine_scratch)
+        let entries: Vec<(&Program, f64)> = lowered
+            .iter()
+            .map(|(_, issue_us, lowering)| (&lowering.program, *issue_us))
+            .collect();
+        let report = self
+            .sim
+            .run_session(&entries, &mut self.engine_scratch)
             .map_err(|e| BlinkError::Simulation(e.to_string()))?;
         let mut out = Vec::with_capacity(lowered.len());
-        for (idx, (group, issue_us, program, strategy)) in lowered.into_iter().enumerate() {
-            let span = &report.programs[idx];
+        for ((group, issue_us, lowering), span) in lowered.into_iter().zip(report.programs) {
             out.push(StreamedGroup {
                 group,
                 issue_us,
                 end_us: span.end_us,
-                program,
-                op_spans: span.op_spans.clone(),
-                strategy,
+                program: lowering.program.clone(),
+                op_spans: span.op_spans,
+                strategy: lowering.strategy.clone(),
             });
         }
         Ok(StreamedRun {
@@ -846,8 +939,10 @@ impl Communicator {
     ///
     /// Removed GPUs leave the allocation; GPUs added by the delta join it.
     /// Chunk autotuners reset (the hardware their throughput feedback
-    /// calibrated against no longer exists); the engine scratch is kept —
-    /// scratch contents never affect results.
+    /// calibrated against no longer exists), and every memoised program is
+    /// dropped with the hybrid planners and switch winners it was lowered
+    /// from, so each signature is lowered again on the post-delta machine;
+    /// the engine scratch is kept — scratch contents never affect results.
     ///
     /// # Graceful-degradation ladder
     ///
@@ -952,6 +1047,7 @@ impl Communicator {
         self.spannable.clear();
         self.hybrids.clear();
         self.switch_strategy.clear();
+        self.programs.clear();
         self.autotuners.clear();
         self.plans
             .note_delta(&self.induced, &self.options.treegen, delta);
@@ -1000,12 +1096,9 @@ impl Communicator {
         })
     }
 
-    pub(crate) fn build_program(
-        &mut self,
-        kind: CollectiveKind,
-        bytes: u64,
-        chunk: u64,
-    ) -> Result<Lowering> {
+    /// Lowers one collective signature to a program: the miss path of
+    /// [`Communicator::lowering`].
+    fn build_program(&mut self, kind: CollectiveKind, bytes: u64, chunk: u64) -> Result<Lowered> {
         // ---- multi-server allocations: the three-phase protocol ----
         if self.is_multi_server() {
             if kind != CollectiveKind::AllReduce {
@@ -1058,7 +1151,7 @@ impl Communicator {
                 info.partitions,
                 if fell_back { "; PCIe fallback" } else { "" }
             );
-            return Ok(Lowering::unsimulated(program, info.partitions, strategy));
+            return Ok(unsimulated(program, info.partitions, strategy));
         }
 
         let cg = CodeGen::new(self.codegen_options(chunk));
@@ -1102,7 +1195,7 @@ impl Communicator {
                     planner.build(kind, bytes, &self.codegen_options(chunk), self.sim.params())?;
                 let n = planner.nvlink_plan().num_trees() + planner.pcie_plan().num_trees();
                 let strategy = format!("hybrid NVLink+PCIe ({} B over PCIe)", split.pcie_bytes);
-                return Ok(Lowering::unsimulated(program, n, strategy));
+                return Ok(unsimulated(program, n, strategy));
             }
             let treegen_opts = self.options.treegen;
             let plan = self.plans.plan_for(&self.induced, &treegen_opts, root)?;
@@ -1113,7 +1206,7 @@ impl Communicator {
             } else {
                 "packed spanning trees (NVLink)".to_string()
             };
-            return Ok(Lowering::unsimulated(program, n, strategy));
+            return Ok(unsimulated(program, n, strategy));
         }
 
         // ---- NVLink cannot span the allocation: fall back to PCIe trees ----
@@ -1134,7 +1227,7 @@ impl Communicator {
         } else {
             "packed spanning trees (PCIe fallback)".to_string()
         };
-        Ok(Lowering::unsimulated(program, n, strategy))
+        Ok(unsimulated(program, n, strategy))
     }
 
     /// Lowers a collective on an all-to-all switch fabric (NVSwitch): one-hop
@@ -1158,26 +1251,24 @@ impl Communicator {
         kind: CollectiveKind,
         bytes: u64,
         chunk: u64,
-    ) -> Result<Lowering> {
+    ) -> Result<Lowered> {
         let key = format!("{kind}");
         if let Some(&choice) = self.switch_strategy.get(&key) {
             return self.switch_candidate(choice, kind, bytes, chunk);
         }
-        let mut one_hop = self.switch_candidate(SwitchChoice::OneHop, kind, bytes, chunk)?;
+        let (one_hop, _) = self.switch_candidate(SwitchChoice::OneHop, kind, bytes, chunk)?;
         let (choice, winner) = match self.switch_candidate(SwitchChoice::Packed, kind, bytes, chunk)
         {
-            Ok(mut packed) => {
+            Ok((packed, _)) => {
                 let one_hop_run = self.simulate(&one_hop.program)?;
                 let packed_run = self.simulate(&packed.program)?;
                 if packed_run.total_us + 1e-9 < one_hop_run.total_us {
-                    packed.report = Some(packed_run);
-                    (SwitchChoice::Packed, packed)
+                    (SwitchChoice::Packed, (packed, Some(packed_run)))
                 } else {
-                    one_hop.report = Some(one_hop_run);
-                    (SwitchChoice::OneHop, one_hop)
+                    (SwitchChoice::OneHop, (one_hop, Some(one_hop_run)))
                 }
             }
-            Err(_) => (SwitchChoice::OneHop, one_hop),
+            Err(_) => (SwitchChoice::OneHop, (one_hop, None)),
         };
         self.switch_strategy.insert(key, choice);
         Ok(winner)
@@ -1190,7 +1281,7 @@ impl Communicator {
         kind: CollectiveKind,
         bytes: u64,
         chunk: u64,
-    ) -> Result<Lowering> {
+    ) -> Result<Lowered> {
         let cg = CodeGen::new(self.codegen_options(chunk));
         match choice {
             SwitchChoice::OneHop => {
@@ -1204,11 +1295,7 @@ impl Communicator {
                 };
                 let n = trees.len();
                 let program = cg.build(&trees, kind, bytes)?;
-                Ok(Lowering::unsimulated(
-                    program,
-                    n,
-                    "one-hop switch trees".to_string(),
-                ))
+                Ok(unsimulated(program, n, "one-hop switch trees".to_string()))
             }
             SwitchChoice::Packed => {
                 // Any root spans a switch fabric and the graph is symmetric,
@@ -1218,7 +1305,7 @@ impl Communicator {
                 let plan = self.plans.plan_for(&self.induced, &treegen_opts, root)?;
                 let n = plan.num_trees();
                 let program = cg.build(&plan.trees, kind, bytes)?;
-                Ok(Lowering::unsimulated(
+                Ok(unsimulated(
                     program,
                     n,
                     "packed spanning trees (NVLink switch fabric)".to_string(),
@@ -1875,6 +1962,211 @@ mod tests {
             .unwrap();
         assert_eq!(run.groups.len(), 2);
         assert!(run.groups.iter().all(|g| !g.group.is_fused()));
+    }
+
+    /// `Debug` prints every `f64` in shortest round-trip form, so equal
+    /// strings mean bit-identical reports, programs and spans.
+    fn bits<T: std::fmt::Debug>(run: &T) -> String {
+        format!("{run:?}")
+    }
+
+    fn isolated() -> CommunicatorOptions {
+        CommunicatorOptions {
+            isolated_plan_cache: true,
+            ..Default::default()
+        }
+    }
+
+    /// Every lowering, called again on its memoised program, replays a
+    /// freshly built communicator's first call bit for bit — report, program
+    /// and op spans — and the repeats add no signature to the memo.
+    #[test]
+    fn repeated_calls_replay_a_fresh_communicators_first_call() {
+        let all8: Vec<GpuId> = (0..8).map(GpuId).collect();
+        let fragment: Vec<GpuId> = [1, 4, 9, 12, 14].into_iter().map(GpuId).collect();
+        let hybrid = CommunicatorOptions {
+            use_hybrid: true,
+            ..isolated()
+        };
+        let two_servers = multi_server(2, ServerKind::Dgx1V, 5.0);
+        let slice: Vec<GpuId> = [0, 1, 2, 8, 9, 10, 11, 12].into_iter().map(GpuId).collect();
+        type Case = (
+            Topology,
+            Vec<GpuId>,
+            CommunicatorOptions,
+            CollectiveKind,
+            u64,
+        );
+        let cases: Vec<(&str, Case)> = vec![
+            (
+                "packed spanning trees (NVLink)",
+                (
+                    dgx1v(),
+                    all8.clone(),
+                    isolated(),
+                    CollectiveKind::AllReduce,
+                    mb(4),
+                ),
+            ),
+            (
+                "PCIe fallback",
+                (
+                    dgx1p(),
+                    vec![GpuId(1), GpuId(4)],
+                    isolated(),
+                    CollectiveKind::Broadcast { root: GpuId(1) },
+                    mb(8),
+                ),
+            ),
+            (
+                "hybrid NVLink+PCIe",
+                (
+                    dgx1v(),
+                    all8[..4].to_vec(),
+                    hybrid,
+                    CollectiveKind::Broadcast { root: GpuId(0) },
+                    mb(64),
+                ),
+            ),
+            (
+                "packed spanning trees (NVLink switch fabric)",
+                (
+                    dgx2(),
+                    fragment.clone(),
+                    isolated(),
+                    CollectiveKind::Broadcast { root: GpuId(4) },
+                    mb(256),
+                ),
+            ),
+            (
+                "one-hop switch trees",
+                (
+                    dgx2(),
+                    fragment,
+                    isolated(),
+                    CollectiveKind::AllReduce,
+                    mb(256),
+                ),
+            ),
+            (
+                "three-phase multi-server",
+                (
+                    two_servers,
+                    slice,
+                    isolated(),
+                    CollectiveKind::AllReduce,
+                    mb(16) + 5,
+                ),
+            ),
+        ];
+        for (strategy, (machine, alloc, options, kind, bytes)) in cases {
+            let mut fresh = Communicator::new(machine.clone(), &alloc, options).unwrap();
+            let first = fresh.run_traced(kind, bytes).unwrap();
+            assert!(first.0.strategy.contains(strategy), "{}", first.0);
+            let mut warm = Communicator::new(machine, &alloc, options).unwrap();
+            warm.run(kind, bytes).unwrap();
+            assert_eq!(warm.programs.entries.len(), 1);
+            let (report, check) = warm.run_checked(kind, bytes).unwrap();
+            assert!(check.is_correct(), "{strategy}: {check}");
+            assert_eq!(bits(&report), bits(&first.0), "{strategy}");
+            let again = warm.run_traced(kind, bytes).unwrap();
+            assert_eq!(bits(&again), bits(&first), "{strategy}");
+            assert_eq!(warm.programs.entries.len(), 1, "{strategy}");
+        }
+
+        // fused streamed batches
+        let requests = [(mb(1), 0.0), (mb(1), 10.0), (mb(1), 20.0), (mb(32), 30.0)];
+        let kind = CollectiveKind::AllReduce;
+        let mut fresh = Communicator::new(dgx1v(), &all8, isolated()).unwrap();
+        let first = fresh.run_streamed(kind, &requests).unwrap();
+        assert!(first.fused_programs() >= 1);
+        let mut warm = Communicator::new(dgx1v(), &all8, isolated()).unwrap();
+        warm.run_streamed(kind, &requests).unwrap();
+        let signatures = warm.programs.entries.len();
+        let (again, checks) = warm.run_streamed_checked(kind, &requests).unwrap();
+        assert!(checks.iter().all(ValueCheck::is_correct));
+        assert_eq!(bits(&again), bits(&first));
+        assert_eq!(warm.programs.entries.len(), signatures);
+
+        // concurrent process-group collectives
+        let requests = [(CollectiveKind::AllReduce, mb(8)); 2];
+        let split = GroupSplit::ByStride(2);
+        let parent = Communicator::new(dgx1v(), &all8, isolated()).unwrap();
+        let first = parent
+            .split(&split)
+            .unwrap()
+            .run_concurrent(&requests)
+            .unwrap();
+        let mut groups = parent.split(&split).unwrap();
+        groups.run_concurrent(&requests).unwrap();
+        let (again, checks) = groups.run_concurrent_checked(&requests).unwrap();
+        assert!(checks.iter().all(ValueCheck::is_correct));
+        assert_eq!(bits(&again), bits(&first));
+        assert!(groups
+            .groups()
+            .iter()
+            .all(|c| c.programs.entries.len() == 1));
+    }
+
+    /// A replan can change what every signature lowers to, so a repeated
+    /// signature is lowered again on the post-delta machine: it avoids the
+    /// dead link, passes the oracle, and matches a fresh communicator there.
+    #[test]
+    fn replan_lowers_a_repeated_signature_again() {
+        let alloc: Vec<GpuId> = (0..8).map(GpuId).collect();
+        let shared = SharedPlanCache::new();
+        let mut comm =
+            Communicator::with_shared_plans(dgx1v(), &alloc, isolated(), shared.clone()).unwrap();
+        let kind = CollectiveKind::AllReduce;
+        comm.run(kind, mb(4)).unwrap();
+        comm.run(kind, mb(4)).unwrap();
+        let delta = TopologyDelta::kill_link(comm.induced_topology(), GpuId(0), GpuId(1));
+        comm.replan(&delta).unwrap();
+        let after = comm.run_traced(kind, mb(4)).unwrap();
+        let dead =
+            |a: GpuId, b: GpuId| (a, b) == (GpuId(0), GpuId(1)) || (a, b) == (GpuId(1), GpuId(0));
+        for op in after.1.ops() {
+            if let blink_sim::OpKind::Copy { src, dst, .. } = op.kind {
+                assert!(!dead(src, dst), "op {:?} crosses the dead link", op.id);
+            }
+        }
+        let (_, check) = comm.run_checked(kind, mb(4)).unwrap();
+        assert!(check.is_correct(), "{check}");
+        // a fresh communicator on the post-delta machine, reaching the
+        // repaired plans through the same tier, lowers the same program
+        let machine = comm.machine_topology().clone();
+        let mut fresh =
+            Communicator::with_shared_plans(machine, comm.allocation(), isolated(), shared)
+                .unwrap();
+        assert_eq!(bits(&fresh.run_traced(kind, mb(4)).unwrap()), bits(&after));
+    }
+
+    /// More signatures than the cap — every autotuned chunk of every size is
+    /// one — keep the memo at the cap, and the least recently used go first.
+    #[test]
+    fn the_program_memo_stays_within_its_cap() {
+        let alloc: Vec<GpuId> = (0..4).map(GpuId).collect();
+        let options = CommunicatorOptions {
+            chunk_bytes: None,
+            ..isolated()
+        };
+        let mut comm = Communicator::new(dgx1v(), &alloc, options).unwrap();
+        let hot = mb(2);
+        let chunk = comm.all_reduce(hot).unwrap().chunk_bytes;
+        let hot_sig = (CollectiveKind::AllReduce, hot, chunk);
+        let mut seen = BTreeSet::new();
+        for i in 0..PROGRAM_MEMO_CAP as u64 {
+            for _ in 0..2 {
+                let bytes = mb(1) + i * 4096;
+                let report = comm.all_reduce(bytes).unwrap();
+                seen.insert((bytes, report.chunk_bytes));
+                assert!(comm.programs.entries.len() <= PROGRAM_MEMO_CAP);
+            }
+            comm.programs.get(&hot_sig).expect("recently used");
+        }
+        assert!(seen.len() > PROGRAM_MEMO_CAP, "{} signatures", seen.len());
+        assert_eq!(comm.programs.entries.len(), PROGRAM_MEMO_CAP);
+        assert!(comm.programs.entries.contains_key(&hot_sig));
     }
 
     #[test]

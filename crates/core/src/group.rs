@@ -23,10 +23,11 @@
 //! [`CommunicatorOptions::canonical_plan_sharing`]: crate::CommunicatorOptions::canonical_plan_sharing
 
 use crate::collective::CollectiveKind;
-use crate::communicator::{Communicator, CommunicatorOptions};
+use crate::communicator::{Communicator, CommunicatorOptions, Lowering};
 use crate::{BlinkError, Result};
 use blink_sim::{check_collective, EngineScratch, Program, Simulator, ValueCheck};
 use blink_topology::{GroupSplit, Topology};
+use std::sync::Arc;
 
 /// A set of sub-communicators produced by [`Communicator::split`], sharing
 /// one machine model and one simulator session.
@@ -128,11 +129,12 @@ impl ProcessGroups {
     /// Runs one collective per subgroup *concurrently* on the shared fabric.
     ///
     /// `requests[i]` is subgroup `i`'s `(kind, bytes)`. Every subgroup's
-    /// program is lowered by its own child communicator (packed trees,
-    /// one-hop, hybrid — whatever its induced topology calls for), admitted
-    /// into one simulator session at `t = 0`, and executed under shared-link
-    /// contention. Subgroups of a single GPU, or zero-byte requests, are
-    /// trivially complete and contribute an empty program.
+    /// program comes from its own child communicator's signature memo
+    /// (lowered on first use: packed trees, one-hop, hybrid — whatever its
+    /// induced topology calls for), is issued into one simulator session at
+    /// `t = 0` by reference, and executes under shared-link contention.
+    /// Subgroups of a single GPU, or zero-byte requests, are trivially
+    /// complete and contribute an empty program.
     ///
     /// # Errors
     /// `requests.len() != self.len()`, or any child failing to plan/lower.
@@ -144,51 +146,55 @@ impl ProcessGroups {
                 self.children.len()
             )));
         }
-        // slot[i] = index of subgroup i's program in the session's admission
-        // order, or None for trivial subgroups.
-        let mut lowered: Vec<(Program, String)> = Vec::with_capacity(requests.len());
+        // Each child's memoised lowering, or None for a trivial subgroup.
+        let mut lowered: Vec<Option<Arc<Lowering>>> = Vec::with_capacity(requests.len());
         for (child, &(kind, bytes)) in self.children.iter_mut().zip(requests) {
             if child.allocation().len() < 2 || bytes == 0 {
-                lowered.push((
-                    Program::default(),
-                    "trivial (single GPU or empty buffer)".to_string(),
-                ));
+                lowered.push(None);
                 continue;
             }
             let chunk = child.current_chunk(kind, bytes);
-            let lowering = child.build_program(kind, bytes, chunk)?;
-            lowered.push((lowering.program, lowering.strategy));
+            lowered.push(Some(child.lowering(kind, bytes, chunk)?.0));
         }
 
-        let mut session = self.sim.session();
+        // slot[i] = index of subgroup i's program in the session's entries,
+        // or None when it has no ops.
+        let mut entries: Vec<(&Program, f64)> = Vec::with_capacity(lowered.len());
         let mut slots: Vec<Option<usize>> = Vec::with_capacity(lowered.len());
-        for (program, _) in &lowered {
-            if program.ops().is_empty() {
-                slots.push(None);
-            } else {
-                slots.push(Some(session.admit(program.clone(), 0.0)));
+        for lowering in &lowered {
+            match lowering {
+                Some(l) if !l.program.ops().is_empty() => {
+                    slots.push(Some(entries.len()));
+                    entries.push((&l.program, 0.0));
+                }
+                _ => slots.push(None),
             }
         }
-        let report = if slots.iter().all(Option::is_none) {
+        let report = if entries.is_empty() {
             None
         } else {
             Some(
-                session
-                    .run_with_scratch(&mut self.engine_scratch)
+                self.sim
+                    .run_session(&entries, &mut self.engine_scratch)
                     .map_err(|e| BlinkError::Simulation(e.to_string()))?,
             )
         };
 
         let mut groups = Vec::with_capacity(lowered.len());
-        for (i, ((program, strategy), &(kind, bytes))) in
-            lowered.into_iter().zip(requests).enumerate()
-        {
+        for (i, (lowering, &(kind, bytes))) in lowered.iter().zip(requests).enumerate() {
             let (end_us, op_spans) = match (slots[i], &report) {
                 (Some(slot), Some(report)) => {
                     let span = &report.programs[slot];
                     (span.end_us, span.op_spans.clone())
                 }
                 _ => (0.0, Vec::new()),
+            };
+            let (program, strategy) = match lowering {
+                Some(l) => (l.program.clone(), l.strategy.clone()),
+                None => (
+                    Program::default(),
+                    "trivial (single GPU or empty buffer)".to_string(),
+                ),
             };
             groups.push(GroupCollective {
                 kind,

@@ -94,6 +94,11 @@
 //!   [`Simulator::run_with_scratch`] on that program; the single-program
 //!   entry points are in fact thin wrappers over the session core, and the
 //!   regression tests pin the equivalence.
+//! * **Borrowed programs.** The session core itself is public as
+//!   [`Simulator::run_session`], over `(&Program, issue_us)` entries: a
+//!   caller that keeps its programs (a communicator reusing the programs it
+//!   lowered) schedules them in place, and [`Session`] is the owning
+//!   front-end over the same scheduler.
 //!
 //! # The scratch-reuse contract
 //!
@@ -571,7 +576,7 @@ impl Simulator {
         program: &Program,
         scratch: &mut EngineScratch,
     ) -> Result<RunReport, SimError> {
-        let mut session = self.run_entries(&[(program, 0.0)], scratch)?;
+        let mut session = self.run_session(&[(program, 0.0)], scratch)?;
         let prog = session
             .programs
             .pop()
@@ -585,9 +590,21 @@ impl Simulator {
     }
 
     /// The session core: schedules every op of every `(program, issue_us)`
-    /// entry over one shared interned resource table. Single-program
-    /// execution is the `entries.len() == 1`, `issue_us == 0.0` special case.
-    fn run_entries(
+    /// entry over one shared interned resource table, under the
+    /// admission / contention / determinism contract of the module docs.
+    /// Single-program execution ([`Simulator::run_with_scratch`]) is the
+    /// `entries.len() == 1`, `issue_us == 0.0` special case, and
+    /// [`Session::run_with_scratch`] calls this over references to its
+    /// admitted programs, so every entry point shares one scheduler.
+    ///
+    /// Callers that already hold their programs elsewhere (a communicator's
+    /// memoised lowerings) schedule them here by reference instead of
+    /// cloning each into [`Session::admit`]. `programs[i]` of the report
+    /// belongs to `entries[i]`.
+    ///
+    /// # Errors
+    /// Same conditions as [`Session::run`].
+    pub fn run_session(
         &self,
         entries: &[(&Program, f64)],
         scratch: &mut EngineScratch,
@@ -1057,7 +1074,7 @@ impl Session<'_> {
     /// Same conditions as [`Session::run`].
     pub fn run_with_scratch(&self, scratch: &mut EngineScratch) -> Result<SessionReport, SimError> {
         let refs: Vec<(&Program, f64)> = self.entries.iter().map(|(p, t)| (p, *t)).collect();
-        self.sim.run_entries(&refs, scratch)
+        self.sim.run_session(&refs, scratch)
     }
 }
 
