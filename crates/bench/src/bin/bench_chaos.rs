@@ -27,9 +27,11 @@
 //! * **pure-function replay** — two runs over one `(workload seed, fault
 //!   seed)` pair must agree event-for-event and bit-for-bit on rates.
 //!
-//! The wall-clock recovery-latency gates need a machine with >= 2 workers
-//! and are loudly SKIPPED otherwise. Exits non-zero on regression.
+//! The wall-clock recovery-latency gates (p50 and p99 each at most
+//! [`CHECK_TOLERANCE`]× the recording) need a machine with >= 2 workers and
+//! are loudly SKIPPED otherwise. Exits non-zero on regression.
 
+use blink_bench::gate::{self, Percentiles, Recorded, Verdict};
 use blink_core::ScratchPool;
 use blink_sched::{EventRecord, FaultConfig, FleetConfig, FleetPipeline, FleetReport, Stage};
 use serde::Serialize;
@@ -44,37 +46,6 @@ const FULL_JOBS: usize = 2_000;
 /// Jobs in quick (`--check`) mode — enough chaos for every fault class and
 /// ladder rung to appear, small enough for CI.
 const QUICK_JOBS: usize = 300;
-
-#[derive(Serialize)]
-struct Percentiles {
-    p50_us: f64,
-    p99_us: f64,
-    mean_us: f64,
-    samples: usize,
-}
-
-fn percentiles(mut xs: Vec<f64>) -> Percentiles {
-    let samples = xs.len();
-    if samples == 0 {
-        return Percentiles {
-            p50_us: 0.0,
-            p99_us: 0.0,
-            mean_us: 0.0,
-            samples,
-        };
-    }
-    xs.sort_by(f64::total_cmp);
-    let pct = |p: f64| {
-        let idx = ((samples as f64 * p).ceil() as usize).max(1).min(samples) - 1;
-        xs[idx]
-    };
-    Percentiles {
-        p50_us: pct(0.50),
-        p99_us: pct(0.99),
-        mean_us: xs.iter().sum::<f64>() / samples as f64,
-        samples,
-    }
-}
 
 #[derive(Serialize)]
 struct Config {
@@ -195,8 +166,8 @@ fn build_report(run: &Run, quick: bool, config: &FleetConfig) -> Report {
         retries_scheduled: r.retries_scheduled,
         retries_succeeded: r.retries_succeeded,
         jobs_lost: r.jobs_lost,
-        recovery: percentiles(stage_spans(&run.records, Stage::Fault)),
-        restore: percentiles(stage_spans(&run.records, Stage::Heal)),
+        recovery: Percentiles::of(stage_spans(&run.records, Stage::Fault)),
+        restore: Percentiles::of(stage_spans(&run.records, Stage::Heal)),
     }
 }
 
@@ -300,33 +271,8 @@ fn determinism_gate(a: &Run, b: &Run) -> Vec<String> {
     failures
 }
 
-fn check_against_recorded(recorded: &serde::Value, out: &Report) -> Vec<String> {
-    let mut failures = Vec::new();
-    let rec = |path: &[&str]| -> Option<f64> {
-        let mut v = recorded;
-        for key in path {
-            v = v.get(key)?;
-        }
-        v.as_f64()
-    };
-    for (label, measured, path) in [
-        ("recovery p50", out.recovery.p50_us, ["recovery", "p50_us"]),
-        ("recovery p99", out.recovery.p99_us, ["recovery", "p99_us"]),
-    ] {
-        if let Some(recorded_us) = rec(&path) {
-            if measured > recorded_us * CHECK_TOLERANCE {
-                failures.push(format!(
-                    "{label} at {measured:.0} us, more than {CHECK_TOLERANCE}x above \
-                     the recorded {recorded_us:.0} us"
-                ));
-            }
-        }
-    }
-    failures
-}
-
 fn main() {
-    let check_mode = std::env::args().any(|a| a == "--check");
+    let check_mode = gate::check_mode();
     let config = fleet_config(check_mode);
     let run = run_chaos(config.clone());
     let out = build_report(&run, check_mode, &config);
@@ -357,46 +303,42 @@ fn main() {
         out.recovery.samples,
     );
 
-    if check_mode {
-        let recorded = std::fs::read_to_string("BENCH_chaos.json")
-            .expect("BENCH_chaos.json exists for --check");
-        let recorded = serde_json::parse(&recorded).expect("BENCH_chaos.json parses");
-
-        let mut hard_failures = hard_gates(&run, &out);
-        let rerun = run_chaos(fleet_config(true));
-        hard_failures.extend(determinism_gate(&run, &rerun));
-
-        let mut latency_failures = Vec::new();
-        if out.config.workers < 2 {
-            eprintln!(
-                "=================================================================\n\
-                 SKIPPED: chaos latency gates NOT enforced — this runner exposes\n\
-                 only {} worker(s), so the recovery percentiles above are\n\
-                 noise-dominated. The zero-jobs-lost, zero-iteration warm-repair\n\
-                 and determinism gates above still ran. Run --check on a machine\n\
-                 with >= 2 cores to arm the recovery-latency trajectory gates\n\
-                 ({CHECK_TOLERANCE}x band against BENCH_chaos.json).\n\
-                 =================================================================",
-                out.config.workers
-            );
-        } else {
-            latency_failures.extend(check_against_recorded(&recorded, &out));
-        }
-
-        if hard_failures.is_empty() && latency_failures.is_empty() {
-            eprintln!(
-                "chaos check passed: zero jobs lost, warm repairs at zero \
-                 iterations, replay bit-identical"
-            );
-            return;
-        }
-        for f in hard_failures.iter().chain(&latency_failures) {
-            eprintln!("REGRESSION: {f}");
-        }
-        std::process::exit(1);
+    if !check_mode {
+        gate::record("chaos", &out);
+        return;
     }
-
-    let json = serde_json::to_string_pretty(&out).expect("serializable");
-    std::fs::write("BENCH_chaos.json", &json).expect("write BENCH_chaos.json");
-    println!("{json}");
+    let recorded = Recorded::load("chaos");
+    let mut verdict = Verdict::default();
+    verdict.hard(hard_gates(&run, &out));
+    let rerun = run_chaos(fleet_config(true));
+    verdict.hard(determinism_gate(&run, &rerun));
+    if let Some(latency) = verdict.latency(
+        out.config.workers,
+        "chaos latency gates (recovery p50/p99)",
+        "the recovery percentiles above are noise-dominated; the zero-jobs-lost, \
+         zero-iteration warm-repair and determinism gates still ran",
+    ) {
+        for (metric, measured, path) in [
+            (
+                "recovery p50 (us)",
+                out.recovery.p50_us,
+                ["recovery", "p50_us"],
+            ),
+            (
+                "recovery p99 (us)",
+                out.recovery.p99_us,
+                ["recovery", "p99_us"],
+            ),
+        ] {
+            latency.extend(gate::above(
+                metric,
+                measured,
+                recorded.at(&path),
+                CHECK_TOLERANCE,
+            ));
+        }
+    }
+    verdict.finish(
+        "chaos check passed: zero jobs lost, warm repairs at zero iterations, replay bit-identical",
+    );
 }

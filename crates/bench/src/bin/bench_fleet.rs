@@ -18,10 +18,11 @@
 //! actually hit, the stream must fragment (else the run proves nothing about
 //! the paper's scenario), accounting must balance, and two runs over one
 //! seed must agree event-for-event and bit-for-bit on simulated rates. The
-//! wall-clock latency gates (TTFC percentiles, plans/sec vs the recording)
-//! need a machine with >= 2 workers and are loudly SKIPPED otherwise,
-//! mirroring the other benches. Exits non-zero on regression.
+//! wall-clock latency gates (TTFC p50/p99 and plans/sec, each within
+//! [`CHECK_TOLERANCE`]× of the recording) need a machine with >= 2 workers
+//! and are loudly SKIPPED otherwise. Exits non-zero on regression.
 
+use blink_bench::gate::{self, Percentiles, Recorded, Verdict};
 use blink_core::ScratchPool;
 use blink_sched::{FleetConfig, FleetPipeline, FleetReport, Stage, WorkloadConfig};
 use serde::Serialize;
@@ -35,37 +36,6 @@ const FULL_JOBS: usize = 2_000;
 /// Jobs in quick (`--check`) mode — enough for fragmentation, departures and
 /// cache reuse to all appear, small enough for CI.
 const QUICK_JOBS: usize = 400;
-
-#[derive(Serialize)]
-struct Percentiles {
-    p50_us: f64,
-    p99_us: f64,
-    mean_us: f64,
-    samples: usize,
-}
-
-fn percentiles(mut xs: Vec<f64>) -> Percentiles {
-    let samples = xs.len();
-    if samples == 0 {
-        return Percentiles {
-            p50_us: 0.0,
-            p99_us: 0.0,
-            mean_us: 0.0,
-            samples,
-        };
-    }
-    xs.sort_by(f64::total_cmp);
-    let pct = |p: f64| {
-        let idx = ((samples as f64 * p).ceil() as usize).max(1).min(samples) - 1;
-        xs[idx]
-    };
-    Percentiles {
-        p50_us: pct(0.50),
-        p99_us: pct(0.99),
-        mean_us: xs.iter().sum::<f64>() / samples as f64,
-        samples,
-    }
-}
 
 #[derive(Serialize)]
 struct Config {
@@ -169,8 +139,8 @@ fn build_report(run: &Run, quick: bool, workload: &WorkloadConfig, config: &Flee
         jobs_per_sec: r.submitted as f64 / run.wall_seconds,
         checks_run: r.checks_run,
         checks_failed: r.checks_failed,
-        ttfc: percentiles(multi.iter().map(|o| o.ttfc_us).collect()),
-        ttfc_fragmented: percentiles(
+        ttfc: Percentiles::of(multi.iter().map(|o| o.ttfc_us).collect()),
+        ttfc_fragmented: Percentiles::of(
             multi
                 .iter()
                 .filter(|o| o.fragmented)
@@ -289,41 +259,8 @@ fn determinism_gate(a: &Run, b: &Run) -> Vec<String> {
     failures
 }
 
-fn check_against_recorded(recorded: &serde::Value, out: &Report) -> Vec<String> {
-    let mut failures = Vec::new();
-    let rec = |path: &[&str]| -> Option<f64> {
-        let mut v = recorded;
-        for key in path {
-            v = v.get(key)?;
-        }
-        v.as_f64()
-    };
-    if let Some(rec_pps) = rec(&["plans_per_sec"]) {
-        if out.plans_per_sec < rec_pps / CHECK_TOLERANCE {
-            failures.push(format!(
-                "plans/sec at {:.0}, more than {CHECK_TOLERANCE}x below the recorded {:.0}",
-                out.plans_per_sec, rec_pps
-            ));
-        }
-    }
-    for (label, measured, path) in [
-        ("TTFC p50", out.ttfc.p50_us, ["ttfc", "p50_us"]),
-        ("TTFC p99", out.ttfc.p99_us, ["ttfc", "p99_us"]),
-    ] {
-        if let Some(recorded_us) = rec(&path) {
-            if measured > recorded_us * CHECK_TOLERANCE {
-                failures.push(format!(
-                    "{label} at {measured:.0} us, more than {CHECK_TOLERANCE}x above \
-                     the recorded {recorded_us:.0} us"
-                ));
-            }
-        }
-    }
-    failures
-}
-
 fn main() {
-    let check_mode = std::env::args().any(|a| a == "--check");
+    let check_mode = gate::check_mode();
     let config = fleet_config(check_mode);
     let workload = config.workload.clone();
     let run = run_fleet(config.clone());
@@ -364,47 +301,40 @@ fn main() {
         out.checks_run, out.checks_failed
     );
 
-    if check_mode {
-        let recorded = std::fs::read_to_string("BENCH_fleet.json")
-            .expect("BENCH_fleet.json exists for --check");
-        let recorded = serde_json::parse(&recorded).expect("BENCH_fleet.json parses");
-
-        let mut hard_failures = hard_gates(&run, &out);
-        let rerun = run_fleet(fleet_config(true));
-        hard_failures.extend(determinism_gate(&run, &rerun));
-
-        let mut latency_failures = Vec::new();
-        if out.config.workers < 2 {
-            eprintln!(
-                "=================================================================\n\
-                 SKIPPED: fleet latency gates NOT enforced — this runner exposes\n\
-                 only {} worker(s) (std::thread::available_parallelism), so the\n\
-                 TTFC percentiles and plans/sec above are noise-dominated. The\n\
-                 conformance, determinism, cache-hit and accounting gates above\n\
-                 still ran. Run --check on a machine with >= 2 cores to arm the\n\
-                 TTFC and plans/sec trajectory gates ({CHECK_TOLERANCE}x band\n\
-                 against BENCH_fleet.json).\n\
-                 =================================================================",
-                out.config.workers
-            );
-        } else {
-            latency_failures.extend(check_against_recorded(&recorded, &out));
-        }
-
-        if hard_failures.is_empty() && latency_failures.is_empty() {
-            eprintln!(
-                "fleet check passed: conformant, deterministic, cache hitting, \
-                 accounting balanced"
-            );
-            return;
-        }
-        for f in hard_failures.iter().chain(&latency_failures) {
-            eprintln!("REGRESSION: {f}");
-        }
-        std::process::exit(1);
+    if !check_mode {
+        gate::record("fleet", &out);
+        return;
     }
-
-    let json = serde_json::to_string_pretty(&out).expect("serializable");
-    std::fs::write("BENCH_fleet.json", &json).expect("write BENCH_fleet.json");
-    println!("{json}");
+    let recorded = Recorded::load("fleet");
+    let mut verdict = Verdict::default();
+    verdict.hard(hard_gates(&run, &out));
+    let rerun = run_fleet(fleet_config(true));
+    verdict.hard(determinism_gate(&run, &rerun));
+    if let Some(latency) = verdict.latency(
+        out.config.workers,
+        "fleet latency gates (TTFC p50/p99, plans/sec)",
+        "the TTFC percentiles and plans/sec above are noise-dominated; the conformance, \
+         determinism, cache-hit and accounting gates still ran",
+    ) {
+        latency.extend(gate::below(
+            "plans/sec",
+            out.plans_per_sec,
+            recorded.at(&["plans_per_sec"]),
+            CHECK_TOLERANCE,
+        ));
+        for (metric, measured, path) in [
+            ("TTFC p50 (us)", out.ttfc.p50_us, ["ttfc", "p50_us"]),
+            ("TTFC p99 (us)", out.ttfc.p99_us, ["ttfc", "p99_us"]),
+        ] {
+            latency.extend(gate::above(
+                metric,
+                measured,
+                recorded.at(&path),
+                CHECK_TOLERANCE,
+            ));
+        }
+    }
+    verdict.finish(
+        "fleet check passed: conformant, deterministic, cache hitting, accounting balanced",
+    );
 }

@@ -28,6 +28,7 @@
 //!
 //! Exits non-zero on regression.
 
+use blink_bench::gate::{self, Recorded, Verdict};
 use blink_core::{CollectiveKind, Communicator, CommunicatorOptions};
 use blink_topology::presets::{dgx1v, dgx2};
 use blink_topology::{GpuId, Topology};
@@ -164,36 +165,8 @@ fn measure() -> Report {
     }
 }
 
-/// Compares measured per-row speedups against the recorded trajectory;
-/// returns (row key, recorded, measured) for each row that fell more than
-/// `CHECK_TOLERANCE`x below its recording.
-fn check_against_recorded(recorded: &serde::Value, report: &Report) -> Vec<(String, f64, f64)> {
-    let mut failures = Vec::new();
-    let Some(recorded) = recorded.get("rows").and_then(|v| v.as_array()) else {
-        return failures;
-    };
-    for row in &report.rows {
-        let rec = recorded.iter().find(|r| {
-            r.get("machine").and_then(|v| v.as_str()) == Some(row.machine.as_str())
-                && r.get("model").and_then(|v| v.as_str()) == Some(row.model.as_str())
-                && r.get("bucket_bytes").and_then(|v| v.as_f64()) == Some(row.bucket_bytes as f64)
-        });
-        let Some(rec) = rec.and_then(|r| r.get("speedup")).and_then(|v| v.as_f64()) else {
-            continue; // row not recorded yet — nothing to regress against
-        };
-        if row.speedup < rec / CHECK_TOLERANCE {
-            failures.push((
-                format!("{}/{}/{}B", row.machine, row.model, row.bucket_bytes),
-                rec,
-                row.speedup,
-            ));
-        }
-    }
-    failures
-}
-
 fn main() {
-    let check_mode = std::env::args().any(|a| a == "--check");
+    let check_mode = gate::check_mode();
     let out = measure();
 
     for row in &out.rows {
@@ -212,51 +185,47 @@ fn main() {
         );
     }
 
-    if check_mode {
-        let recorded = std::fs::read_to_string("BENCH_overlap.json")
-            .expect("BENCH_overlap.json exists for --check");
-        let recorded = serde_json::parse(&recorded).expect("BENCH_overlap.json parses");
-
-        // All gates are deterministic properties of simulated timings, so
-        // they are enforced on every runner.
-        let mut failures = Vec::new();
-        for row in &out.rows {
-            let key = format!("{}/{}/{}B", row.machine, row.model, row.bucket_bytes);
-            if row.overlapped_us >= row.serialized_us {
-                failures.push(format!(
-                    "{key}: overlapped step {:.1} us does not beat serialized {:.1} us",
-                    row.overlapped_us, row.serialized_us
-                ));
-            }
-            if !row.conformant {
-                failures.push(format!(
-                    "{key}: overlapped/fused schedule failed the value-level oracle"
-                ));
-            }
-            if row.fusion_gated && row.fused_programs == 0 {
-                failures.push(format!(
-                    "{key}: small-bucket regime fused no programs (threshold pass inert)"
-                ));
-            }
-        }
-        for (key, rec, measured) in check_against_recorded(&recorded, &out) {
+    if !check_mode {
+        gate::record("overlap", &out);
+        return;
+    }
+    let recorded = Recorded::load("overlap");
+    // All gates are deterministic properties of simulated timings, so they
+    // are enforced on every runner.
+    let mut failures = Vec::new();
+    for row in &out.rows {
+        let key = format!("{}/{}/{}B", row.machine, row.model, row.bucket_bytes);
+        if row.overlapped_us >= row.serialized_us {
             failures.push(format!(
-                "{key}: overlap speedup {measured:.3}x, more than {CHECK_TOLERANCE}x below \
-                 the recorded {rec:.3}x"
+                "{key}: overlapped step {:.1} us does not beat serialized {:.1} us",
+                row.overlapped_us, row.serialized_us
             ));
         }
-
-        if failures.is_empty() {
-            eprintln!("overlap check passed: every preset overlaps, fuses and conforms");
-            return;
+        if !row.conformant {
+            failures.push(format!(
+                "{key}: overlapped/fused schedule failed the value-level oracle"
+            ));
         }
-        for f in &failures {
-            eprintln!("REGRESSION: {f}");
+        if row.fusion_gated && row.fused_programs == 0 {
+            failures.push(format!(
+                "{key}: small-bucket regime fused no programs (threshold pass inert)"
+            ));
         }
-        std::process::exit(1);
+        let is_row = |r: &serde::Value| {
+            let text = |k: &str| r.get(k).and_then(serde::Value::as_str);
+            text("machine") == Some(row.machine.as_str())
+                && text("model") == Some(row.model.as_str())
+                && r.get("bucket_bytes").and_then(serde::Value::as_f64)
+                    == Some(row.bucket_bytes as f64)
+        };
+        failures.extend(gate::below(
+            &format!("{key} overlap speedup"),
+            row.speedup,
+            recorded.row("rows", is_row, "speedup"),
+            CHECK_TOLERANCE,
+        ));
     }
-
-    let json = serde_json::to_string_pretty(&out).expect("serializable");
-    std::fs::write("BENCH_overlap.json", &json).expect("write BENCH_overlap.json");
-    println!("{json}");
+    let mut verdict = Verdict::default();
+    verdict.hard(failures);
+    verdict.finish("overlap check passed: every preset overlaps, fuses and conforms");
 }

@@ -56,6 +56,7 @@
 //!
 //! It does not rewrite the JSON.
 
+use blink_bench::gate::{self, Recorded, Verdict};
 use blink_core::{ScratchPool, TreeGen, TreeGenOptions};
 use blink_graph::{
     broadcast_rate_all_sinks_in, broadcast_rate_per_sink_dinic_in, minimize_trees_in,
@@ -368,14 +369,7 @@ fn measure(quick: bool) -> Report {
 /// trajectory; returns human-readable failure descriptions. Wall-clock
 /// throughput is deliberately not compared — without an in-process naive
 /// side there is no ratio for runner hardware to cancel out of.
-fn check_against_recorded(recorded: &serde::Value, report: &Report) -> Vec<String> {
-    let recorded_f64 = |path: &[&str]| -> Option<f64> {
-        let mut v = recorded;
-        for key in path {
-            v = v.get(key)?;
-        }
-        v.as_f64()
-    };
+fn check_against_recorded(recorded: &Recorded, report: &Report) -> Vec<String> {
     let mut failures = Vec::new();
     if report.packing.rate_over_optimal < 1.0 - EPSILON {
         failures.push(format!(
@@ -384,7 +378,7 @@ fn check_against_recorded(recorded: &serde::Value, report: &Report) -> Vec<Strin
             1.0 - EPSILON
         ));
     }
-    if let Some(rec) = recorded_f64(&["packing", "rate_over_optimal"]) {
+    if let Some(rec) = recorded.at(&["packing", "rate_over_optimal"]) {
         if report.packing.rate_over_optimal < rec - QUALITY_TOLERANCE {
             failures.push(format!(
                 "packing rate_over_optimal {:.4} drifted more than {QUALITY_TOLERANCE} below \
@@ -393,15 +387,13 @@ fn check_against_recorded(recorded: &serde::Value, report: &Report) -> Vec<Strin
             ));
         }
     }
-    if let Some(rec) = recorded_f64(&["packing", "mwu_iterations"]) {
-        if report.packing.mwu_iterations as f64 > rec * WORK_TOLERANCE {
-            failures.push(format!(
-                "packing runs {} MWU iterations, more than {WORK_TOLERANCE}x the recorded {rec}",
-                report.packing.mwu_iterations
-            ));
-        }
-    }
-    if let Some(rec) = recorded_f64(&["minimize", "num_trees"]) {
+    failures.extend(gate::above(
+        "packing MWU iterations",
+        report.packing.mwu_iterations as f64,
+        recorded.at(&["packing", "mwu_iterations"]),
+        WORK_TOLERANCE,
+    ));
+    if let Some(rec) = recorded.at(&["minimize", "num_trees"]) {
         if report.minimize.num_trees as f64 > rec {
             failures.push(format!(
                 "minimised packing uses {} trees, more than the recorded {rec} \
@@ -410,7 +402,7 @@ fn check_against_recorded(recorded: &serde::Value, report: &Report) -> Vec<Strin
             ));
         }
     }
-    if let Some(rec) = recorded_f64(&["certificate", "rate_gbps"]) {
+    if let Some(rec) = recorded.at(&["certificate", "rate_gbps"]) {
         if (report.certificate.rate_gbps - rec).abs() > 1e-6 * rec.max(1.0) {
             failures.push(format!(
                 "broadcast-rate certificate is {:.6} GB/s but the recording says {rec:.6} — \
@@ -419,7 +411,7 @@ fn check_against_recorded(recorded: &serde::Value, report: &Report) -> Vec<Strin
             ));
         }
     }
-    if let Some(rec) = recorded_f64(&["certificate_allsinks", "rate_gbps"]) {
+    if let Some(rec) = recorded.at(&["certificate_allsinks", "rate_gbps"]) {
         if (report.certificate_allsinks.rate_gbps - rec).abs() > 1e-6 * rec.max(1.0) {
             failures.push(format!(
                 "all-sinks certificate is {:.6} GB/s but the recording says {rec:.6} — \
@@ -432,102 +424,12 @@ fn check_against_recorded(recorded: &serde::Value, report: &Report) -> Vec<Strin
 }
 
 fn main() {
-    let check_mode = std::env::args().any(|a| a == "--check");
+    let check_mode = gate::check_mode();
     let out = measure(check_mode);
-
-    if check_mode {
-        let recorded = std::fs::read_to_string("BENCH_packing.json")
-            .expect("BENCH_packing.json exists for --check");
-        let recorded = serde_json::parse(&recorded).expect("BENCH_packing.json parses");
-        let failures = check_against_recorded(&recorded, &out);
-        eprintln!(
-            "quick check: packing {:.1} us ({} trees, rate/optimal {:.3}), minimize {:.1} us \
-             ({} trees), certificate {:.1} us; all-sinks certificate {:.2}x over per-sink \
-             Dinic ({} vertices); parallel sweep {:.2}x over sequential ({} workers)",
-            out.packing.us_per_packing,
-            out.packing.num_trees,
-            out.packing.rate_over_optimal,
-            out.minimize.us_per_call,
-            out.minimize.num_trees,
-            out.certificate.us_per_call,
-            out.certificate_allsinks.speedup,
-            out.certificate_allsinks.vertices,
-            out.parallel_sweep.speedup,
-            out.parallel_sweep.workers,
-        );
-        // Absolute gate: with real parallelism available, the parallel sweep
-        // must never lose to the sequential path (beyond measurement noise,
-        // see SWEEP_TOLERANCE). With one worker the two paths are the same
-        // code, so the comparison would only measure noise — skip loudly so a
-        // single-core runner is never mistaken for a passing gate.
-        if out.parallel_sweep.workers < 2 {
-            eprintln!(
-                "=================================================================\n\
-                 SKIPPED: parallel-sweep gate NOT enforced — this runner exposes \n\
-                 only {} worker(s) (std::thread::available_parallelism), so the \n\
-                 parallel and sequential sweeps are the same code path and the \n\
-                 {:.2}x \"speedup\" above is two timings of identical work. Run \n\
-                 --check on a machine with >= 2 cores to arm this gate.\n\
-                 =================================================================",
-                out.parallel_sweep.workers, out.parallel_sweep.speedup
-            );
-        }
-        let sweep_regressed =
-            out.parallel_sweep.workers >= 2 && out.parallel_sweep.speedup < SWEEP_TOLERANCE;
-        if sweep_regressed {
-            eprintln!(
-                "REGRESSION: parallel sweep at {:.2}x over sequential with {} workers — \
-                 the parallel path must not be slower than sequential \
-                 (tolerance {SWEEP_TOLERANCE})",
-                out.parallel_sweep.speedup, out.parallel_sweep.workers
-            );
-        }
-        // In-process ratio gate: on a ≥ 16-vertex graph the one-pass
-        // all-sinks certificate must beat per-sink Dinic by the floor. Below
-        // that size the production dispatch never takes these paths together
-        // (the Gray-code enumeration owns small graphs), so the gate would
-        // compare a configuration that cannot occur — skip loudly.
-        let allsinks_armed = out.certificate_allsinks.vertices >= ALLSINKS_MIN_VERTICES;
-        if !allsinks_armed {
-            eprintln!(
-                "=================================================================\n\
-                 SKIPPED: all-sinks certificate gate NOT enforced — the benchmark \n\
-                 graph has only {} vertices (< {ALLSINKS_MIN_VERTICES}), where the \n\
-                 certificate dispatches to the cut enumeration and the {:.2}x \n\
-                 \"speedup\" above compares paths production never runs. Re-run \n\
-                 against a >= {ALLSINKS_MIN_VERTICES}-vertex switch graph to arm \n\
-                 this gate.\n\
-                 =================================================================",
-                out.certificate_allsinks.vertices, out.certificate_allsinks.speedup
-            );
-        }
-        let allsinks_regressed =
-            allsinks_armed && out.certificate_allsinks.speedup < ALLSINKS_SPEEDUP_FLOOR;
-        if allsinks_regressed {
-            eprintln!(
-                "REGRESSION: all-sinks certificate at {:.2}x over per-sink Dinic on \
-                 the {}-vertex switch graph — the one-pass structure must be worth \
-                 at least {ALLSINKS_SPEEDUP_FLOOR}x there",
-                out.certificate_allsinks.speedup, out.certificate_allsinks.vertices
-            );
-        }
-        if failures.is_empty() && !sweep_regressed && !allsinks_regressed {
-            eprintln!("all packing quality gates hold against the recorded trajectory");
-            return;
-        }
-        for f in &failures {
-            eprintln!("REGRESSION: {f}");
-        }
-        std::process::exit(1);
-    }
-
-    let json = serde_json::to_string_pretty(&out).expect("serializable");
-    std::fs::write("BENCH_packing.json", &json).expect("write BENCH_packing.json");
-    println!("{json}");
     eprintln!(
-        "packing {:.1} us/call ({} trees, rate/optimal {:.3}), minimize {:.1} us/call \
-         ({} trees), certificate {:.1} us/call, all-sinks certificate {:.2}x over \
-         per-sink Dinic @ {} vertices, {:.2}x parallel sweep @ {} workers",
+        "packing {:.1} us ({} trees, rate/optimal {:.3}), minimize {:.1} us ({} trees), \
+         certificate {:.1} us; all-sinks certificate {:.2}x over per-sink Dinic ({} vertices); \
+         parallel sweep {:.2}x over sequential ({} workers)",
         out.packing.us_per_packing,
         out.packing.num_trees,
         out.packing.rate_over_optimal,
@@ -539,4 +441,57 @@ fn main() {
         out.parallel_sweep.speedup,
         out.parallel_sweep.workers,
     );
+    if !check_mode {
+        gate::record("packing", &out);
+        return;
+    }
+    let recorded = Recorded::load("packing");
+    let mut verdict = Verdict::default();
+    verdict.hard(check_against_recorded(&recorded, &out));
+    // In-process ratio gate: on a ≥ 16-vertex graph the one-pass all-sinks
+    // certificate must beat per-sink Dinic by the floor. Below that size the
+    // production dispatch never takes these paths together (the Gray-code
+    // enumeration owns small graphs), so the gate would compare a
+    // configuration that cannot occur — skip loudly.
+    let allsinks = &out.certificate_allsinks;
+    if allsinks.vertices < ALLSINKS_MIN_VERTICES {
+        gate::skipped(
+            "all-sinks certificate gate",
+            &format!(
+                "the benchmark graph has only {} vertices (< {ALLSINKS_MIN_VERTICES}), where \
+                 the certificate dispatches to the cut enumeration and the {:.2}x \"speedup\" \
+                 above compares paths production never runs. Re-run against a \
+                 >= {ALLSINKS_MIN_VERTICES}-vertex switch graph to arm this gate.",
+                allsinks.vertices, allsinks.speedup
+            ),
+        );
+    } else if allsinks.speedup < ALLSINKS_SPEEDUP_FLOOR {
+        verdict.hard(Some(format!(
+            "all-sinks certificate at {:.2}x over per-sink Dinic on the {}-vertex switch \
+             graph — the one-pass structure must be worth at least {ALLSINKS_SPEEDUP_FLOOR}x there",
+            allsinks.speedup, allsinks.vertices
+        )));
+    }
+    // With real parallelism available, the parallel sweep must never lose to
+    // the sequential path (beyond measurement noise, see SWEEP_TOLERANCE).
+    // With one worker the two paths are the same code.
+    let sweep = &out.parallel_sweep;
+    if let Some(latency) = verdict.latency(
+        sweep.workers,
+        "parallel-sweep gate",
+        &format!(
+            "the parallel and sequential sweeps are the same code path and the {:.2}x \
+             \"speedup\" above is two timings of identical work",
+            sweep.speedup
+        ),
+    ) {
+        if sweep.speedup < SWEEP_TOLERANCE {
+            latency.push(format!(
+                "parallel sweep at {:.2}x over sequential with {} workers — the parallel \
+                 path must not be slower than sequential (tolerance {SWEEP_TOLERANCE})",
+                sweep.speedup, sweep.workers
+            ));
+        }
+    }
+    verdict.finish("all packing quality gates hold against the recorded trajectory");
 }

@@ -13,12 +13,16 @@
 //! `cargo run -p blink-bench --bin bench_replan --release`).
 //!
 //! With `--check`: quick re-measurement compared against the recorded file.
-//! Result-quality gates (replanned programs conformant, warm rate never worse
-//! than cold on pure-removal scenarios) are enforced on every runner; the
-//! latency gates (warm-over-cold floor, recorded-trajectory tolerance) need a
-//! machine with >= 2 workers and are loudly SKIPPED otherwise, mirroring
-//! `bench_packing`. Exits non-zero on regression.
+//! Result-quality gates are enforced on every runner: every replanned
+//! AllReduce passes the value-level oracle, and on pure-removal scenarios the
+//! warm rate is never worse than cold and a seeded warm repair takes the
+//! `reroute` path with zero MWU iterations. The latency gates (warm-over-cold
+//! p50 at least [`WARM_FLOOR`]× on the DGX-1V kill-link and drop-GPU
+//! scenarios, and every scenario within [`CHECK_TOLERANCE`]× below its
+//! recorded speedup) need a machine with >= 2 workers and are loudly SKIPPED
+//! otherwise. Exits non-zero on regression.
 
+use blink_bench::gate::{self, percentile, Recorded, Verdict};
 use blink_core::{CollectiveKind, Communicator, CommunicatorOptions, ReplanReport, ScratchPool};
 use blink_topology::presets::{dgx1p, dgx1v, dgx2};
 use blink_topology::{GpuId, Topology, TopologyDelta};
@@ -169,12 +173,6 @@ struct Report {
     scenarios: Vec<ScenarioReport>,
 }
 
-fn percentile(sorted_us: &[f64], p: f64) -> f64 {
-    let n = sorted_us.len();
-    let idx = ((n as f64 * p).ceil() as usize).max(1).min(n) - 1;
-    sorted_us[idx]
-}
-
 /// Times `runs` replans, building a fresh communicator per iteration via
 /// `setup` (untimed) so each timed call sees the same pre-delta state.
 fn time_replans<F>(runs: usize, mut setup: F, delta: &TopologyDelta) -> (PathStats, ReplanReport)
@@ -280,33 +278,8 @@ fn measure(quick: bool) -> Report {
     }
 }
 
-/// Compares measured per-scenario speedups against the recorded trajectory;
-/// returns (scenario, recorded, measured) for each one that fell more than
-/// `CHECK_TOLERANCE`x below its recording.
-fn check_against_recorded(recorded: &serde::Value, report: &Report) -> Vec<(String, f64, f64)> {
-    let mut failures = Vec::new();
-    let Some(recorded) = recorded.get("scenarios").and_then(|v| v.as_array()) else {
-        return failures;
-    };
-    for sc in &report.scenarios {
-        let rec = recorded
-            .iter()
-            .find(|r| r.get("name").and_then(|n| n.as_str()) == Some(sc.name.as_str()));
-        let Some(rec) = rec
-            .and_then(|r| r.get("speedup_p50"))
-            .and_then(|v| v.as_f64())
-        else {
-            continue; // scenario not recorded yet — nothing to regress against
-        };
-        if sc.speedup_p50 < rec / CHECK_TOLERANCE {
-            failures.push((sc.name.clone(), rec, sc.speedup_p50));
-        }
-    }
-    failures
-}
-
 fn main() {
-    let check_mode = std::env::args().any(|a| a == "--check");
+    let check_mode = gate::check_mode();
     let out = measure(check_mode);
 
     for sc in &out.scenarios {
@@ -325,97 +298,78 @@ fn main() {
         );
     }
 
-    if check_mode {
-        let recorded = std::fs::read_to_string("BENCH_replan.json")
-            .expect("BENCH_replan.json exists for --check");
-        let recorded = serde_json::parse(&recorded).expect("BENCH_replan.json parses");
-
-        // Result-quality gates first: these are deterministic properties of
-        // the replanned plans, not timings, so they hold on any runner.
-        let mut hard_failures = Vec::new();
-        for sc in &out.scenarios {
-            if !sc.conformant {
-                hard_failures.push(format!(
-                    "{}: replanned AllReduce failed the conformance oracle",
-                    sc.name
-                ));
-            }
-            if sc.rate_gated && !sc.rate_not_worse {
-                hard_failures.push(format!(
-                    "{}: warm rate {:.3} GB/s below cold rate {:.3} GB/s on a \
-                     pure-removal delta (warm must be bit-identical-or-better)",
-                    sc.name, sc.warm_rate_gbps, sc.cold_rate_gbps
-                ));
-            }
-            // Zero-iteration warm repair: whenever a pure-removal delta
-            // consumed warm seeds, the min-cost reroute must have reached the
-            // (1-ε)·certificate exit without a single corrective MWU
-            // iteration.
-            if sc.rate_gated && sc.warm_seeded_trees > 0 {
-                if sc.warm_iterations != 0 {
-                    hard_failures.push(format!(
-                        "{}: warm replan needed {} MWU iterations on a \
-                         pure-removal delta (zero-iteration guarantee broken)",
-                        sc.name, sc.warm_iterations
-                    ));
-                }
-                if sc.repair_path != "reroute" {
-                    hard_failures.push(format!(
-                        "{}: warm repair took the '{}' path on a pure-removal \
-                         delta, expected 'reroute'",
-                        sc.name, sc.repair_path
-                    ));
-                }
-            }
-        }
-
-        // Latency gates need a real runner: on a single shared core the
-        // timing windows are noise-dominated, so skip loudly rather than
-        // flake or silently pass.
-        let mut latency_failures = Vec::new();
-        if out.config.workers < 2 {
-            eprintln!(
-                "=================================================================\n\
-                 SKIPPED: replan latency gates NOT enforced — this runner exposes\n\
-                 only {} worker(s) (std::thread::available_parallelism), so warm\n\
-                 and cold sweeps serialise onto one shared core and the latency\n\
-                 ratios above are noise-dominated. The conformance and\n\
-                 rate-not-worse gates above still ran. Run --check on a machine\n\
-                 with >= 2 cores to arm the warm-over-cold floor ({WARM_FLOOR}x)\n\
-                 and trajectory ({CHECK_TOLERANCE}x) gates.\n\
-                 =================================================================",
-                out.config.workers
-            );
-        } else {
-            for sc in &out.scenarios {
-                if let Some(floor) = sc.floor {
-                    if sc.speedup_p50 < floor {
-                        latency_failures.push(format!(
-                            "{}: warm replan only {:.2}x faster than cold (floor {floor}x)",
-                            sc.name, sc.speedup_p50
-                        ));
-                    }
-                }
-            }
-            for (name, rec, measured) in check_against_recorded(&recorded, &out) {
-                latency_failures.push(format!(
-                    "{name}: warm-over-cold at {measured:.2}x, more than \
-                     {CHECK_TOLERANCE}x below the recorded {rec:.2}x"
-                ));
-            }
-        }
-
-        if hard_failures.is_empty() && latency_failures.is_empty() {
-            eprintln!("replan check passed: all scenarios conformant, rates preserved");
-            return;
-        }
-        for f in hard_failures.iter().chain(&latency_failures) {
-            eprintln!("REGRESSION: {f}");
-        }
-        std::process::exit(1);
+    if !check_mode {
+        gate::record("replan", &out);
+        return;
     }
-
-    let json = serde_json::to_string_pretty(&out).expect("serializable");
-    std::fs::write("BENCH_replan.json", &json).expect("write BENCH_replan.json");
-    println!("{json}");
+    let recorded = Recorded::load("replan");
+    let mut verdict = Verdict::default();
+    // Result-quality gates first: these are deterministic properties of the
+    // replanned plans, not timings, so they hold on any runner.
+    let mut hard_failures = Vec::new();
+    for sc in &out.scenarios {
+        if !sc.conformant {
+            hard_failures.push(format!(
+                "{}: replanned AllReduce failed the conformance oracle",
+                sc.name
+            ));
+        }
+        if sc.rate_gated && !sc.rate_not_worse {
+            hard_failures.push(format!(
+                "{}: warm rate {:.3} GB/s below cold rate {:.3} GB/s on a \
+                 pure-removal delta (warm must be bit-identical-or-better)",
+                sc.name, sc.warm_rate_gbps, sc.cold_rate_gbps
+            ));
+        }
+        // Zero-iteration warm repair: whenever a pure-removal delta consumed
+        // warm seeds, the min-cost reroute must have reached the
+        // (1-ε)·certificate exit without a single corrective MWU iteration.
+        if sc.rate_gated && sc.warm_seeded_trees > 0 {
+            if sc.warm_iterations != 0 {
+                hard_failures.push(format!(
+                    "{}: warm replan needed {} MWU iterations on a \
+                     pure-removal delta (zero-iteration guarantee broken)",
+                    sc.name, sc.warm_iterations
+                ));
+            }
+            if sc.repair_path != "reroute" {
+                hard_failures.push(format!(
+                    "{}: warm repair took the '{}' path on a pure-removal \
+                     delta, expected 'reroute'",
+                    sc.name, sc.repair_path
+                ));
+            }
+        }
+    }
+    verdict.hard(hard_failures);
+    if let Some(latency) = verdict.latency(
+        out.config.workers,
+        &format!(
+            "replan latency gates (warm-over-cold floor {WARM_FLOOR}x, trajectory \
+             {CHECK_TOLERANCE}x)"
+        ),
+        "warm and cold sweeps serialise onto one shared core and the latency ratios above \
+         are noise-dominated; the conformance and rate-not-worse gates still ran",
+    ) {
+        for sc in &out.scenarios {
+            if let Some(floor) = sc.floor {
+                if sc.speedup_p50 < floor {
+                    latency.push(format!(
+                        "{}: warm replan only {:.2}x faster than cold (floor {floor}x)",
+                        sc.name, sc.speedup_p50
+                    ));
+                }
+            }
+            let is_row = |r: &serde::Value| {
+                r.get("name").and_then(serde::Value::as_str) == Some(sc.name.as_str())
+            };
+            latency.extend(gate::below(
+                &format!("{} warm-over-cold speedup", sc.name),
+                sc.speedup_p50,
+                recorded.row("scenarios", is_row, "speedup_p50"),
+                CHECK_TOLERANCE,
+            ));
+        }
+    }
+    verdict.finish("replan check passed: all scenarios conformant, rates preserved");
 }

@@ -42,6 +42,7 @@
 //! Both sides of each ratio run in this process, so runner hardware cancels
 //! out. It does not rewrite the JSON.
 
+use blink_bench::gate::{self, Recorded, Verdict};
 use blink_core::multiserver::three_phase_allreduce;
 use blink_core::{
     CodeGenOptions, CollectiveKind, Communicator, CommunicatorOptions, TreeGenOptions,
@@ -299,89 +300,62 @@ fn measure(quick: bool) -> Report {
 }
 
 fn main() {
-    let check_mode = std::env::args().any(|a| a == "--check");
+    let check_mode = gate::check_mode();
     let out = measure(check_mode);
-
-    if check_mode {
-        let recorded =
-            std::fs::read_to_string("BENCH_sim.json").expect("BENCH_sim.json exists for --check");
-        let recorded = serde_json::parse(&recorded).expect("BENCH_sim.json parses");
-        let recorded_speedup =
-            |stage: &str| -> Option<f64> { recorded.get(stage)?.get("speedup")?.as_f64() };
-        eprintln!(
-            "quick check: allgather {:.1}x ({} -> {} ops), multiserver {:.1}x over the \
-             per-slot shape on the same engine; wide ring {:.1}x over the reference \
-             scheduler ({} ops)",
-            out.allgather_dgx2.speedup,
-            out.allgather_dgx2.naive.ops,
-            out.allgather_dgx2.fast.ops,
-            out.multiserver_allreduce.speedup,
-            out.wide_ring_dgx2.speedup,
-            out.wide_ring_dgx2.fast.ops,
-        );
-        let mut failed = false;
-        if out.allgather_dgx2.speedup < ALLGATHER_FLOOR {
-            failed = true;
-            eprintln!(
-                "REGRESSION: the segmented one-hop AllGather path is only {:.1}x over the \
-                 per-slot shape (floor {ALLGATHER_FLOOR}x)",
-                out.allgather_dgx2.speedup
-            );
-        }
-        for stage in [&out.allgather_dgx2, &out.multiserver_allreduce] {
-            if stage.fast_total_us > stage.naive_total_us {
-                failed = true;
-                eprintln!(
-                    "REGRESSION: {}: segmented program simulates slower ({:.1} us) than the \
-                     split shape ({:.1} us) under the calibrated per-segment overhead",
-                    stage.scenario, stage.fast_total_us, stage.naive_total_us
-                );
-            }
-        }
-        let ring = &out.wide_ring_dgx2;
-        if ring.fast_total_us.to_bits() != ring.naive_total_us.to_bits() {
-            failed = true;
-            eprintln!(
-                "REGRESSION: {}: the engine's makespan ({} us) differs from the reference \
-                 scheduler's ({} us)",
-                ring.scenario, ring.fast_total_us, ring.naive_total_us
-            );
-        }
-        for (name, measured) in [
-            ("allgather_dgx2", out.allgather_dgx2.speedup),
-            ("multiserver_allreduce", out.multiserver_allreduce.speedup),
-            ("wide_ring_dgx2", out.wide_ring_dgx2.speedup),
-        ] {
-            let Some(rec) = recorded_speedup(name) else {
-                continue; // stage not recorded yet — nothing to regress against
-            };
-            if measured < rec / CHECK_TOLERANCE {
-                failed = true;
-                eprintln!(
-                    "REGRESSION: {name} fast path at {measured:.1}x over naive, more than \
-                     {CHECK_TOLERANCE}x below the recorded {rec:.1}x"
-                );
-            }
-        }
-        if failed {
-            std::process::exit(1);
-        }
-        eprintln!("all engine speedups within {CHECK_TOLERANCE}x of the recorded trajectory");
-        return;
-    }
-
-    let json = serde_json::to_string_pretty(&out).expect("serializable");
-    std::fs::write("BENCH_sim.json", &json).expect("write BENCH_sim.json");
-    println!("{json}");
     eprintln!(
-        "speedup: {:.1}x one-hop allgather ({} ops vs {} per-slot ops, both on the \
-         interned engine), {:.1}x three-phase allreduce, {:.1}x engine over the \
-         reference scheduler on the {}-op DGX-2 ring",
+        "allgather {:.1}x ({} -> {} ops), multiserver {:.1}x over the per-slot shape on the \
+         same engine; wide ring {:.1}x over the reference scheduler ({} ops)",
         out.allgather_dgx2.speedup,
-        out.allgather_dgx2.fast.ops,
         out.allgather_dgx2.naive.ops,
+        out.allgather_dgx2.fast.ops,
         out.multiserver_allreduce.speedup,
         out.wide_ring_dgx2.speedup,
         out.wide_ring_dgx2.fast.ops,
     );
+    if !check_mode {
+        gate::record("sim", &out);
+        return;
+    }
+    let recorded = Recorded::load("sim");
+    let mut failures = Vec::new();
+    if out.allgather_dgx2.speedup < ALLGATHER_FLOOR {
+        failures.push(format!(
+            "the segmented one-hop AllGather path is only {:.1}x over the per-slot shape \
+             (floor {ALLGATHER_FLOOR}x)",
+            out.allgather_dgx2.speedup
+        ));
+    }
+    for stage in [&out.allgather_dgx2, &out.multiserver_allreduce] {
+        if stage.fast_total_us > stage.naive_total_us {
+            failures.push(format!(
+                "{}: segmented program simulates slower ({:.1} us) than the split shape \
+                 ({:.1} us) under the calibrated per-segment overhead",
+                stage.scenario, stage.fast_total_us, stage.naive_total_us
+            ));
+        }
+    }
+    let ring = &out.wide_ring_dgx2;
+    if ring.fast_total_us.to_bits() != ring.naive_total_us.to_bits() {
+        failures.push(format!(
+            "{}: the engine's makespan ({} us) differs from the reference scheduler's ({} us)",
+            ring.scenario, ring.fast_total_us, ring.naive_total_us
+        ));
+    }
+    for (name, stage) in [
+        ("allgather_dgx2", &out.allgather_dgx2),
+        ("multiserver_allreduce", &out.multiserver_allreduce),
+        ("wide_ring_dgx2", &out.wide_ring_dgx2),
+    ] {
+        failures.extend(gate::below(
+            &format!("{name} fast-over-naive speedup"),
+            stage.speedup,
+            recorded.at(&[name, "speedup"]),
+            CHECK_TOLERANCE,
+        ));
+    }
+    let mut verdict = Verdict::default();
+    verdict.hard(failures);
+    verdict.finish(&format!(
+        "all engine speedups within {CHECK_TOLERANCE}x of the recorded trajectory"
+    ));
 }

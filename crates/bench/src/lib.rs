@@ -1,24 +1,24 @@
 //! # blink-bench
 //!
-//! The experiment harness: one function per figure of the Blink paper's
-//! evaluation, each regenerating the corresponding data series over the
-//! simulated substrate. The `src/bin/` binaries are thin wrappers that run one
-//! figure each and print the rows (and a JSON dump) to stdout; the Criterion
-//! benches in `benches/` exercise the same code paths in micro form.
+//! The experiment harness over the simulated substrate, in two kinds of
+//! binary under `src/bin/`:
 //!
-//! Run an individual figure with, e.g.
-//!
-//! ```text
-//! cargo run -p blink-bench --release --bin fig15_broadcast_dgx1v
-//! ```
-//!
-//! `EXPERIMENTS.md` at the repository root records paper-reported versus
-//! measured values for every figure.
+//! * `fig*` / `tab*` — one per figure or table of the Blink paper's
+//!   evaluation. Each calls one function of [`figures`] and prints its rows
+//!   as a table and a JSON dump ([`print_rows`]), e.g.
+//!   `cargo run -p blink-bench --release --bin fig15_broadcast_dgx1v`.
+//! * `bench_*` — the six perf gates (`packing`, `sim`, `replan`, `overlap`,
+//!   `fleet`, `chaos`). Without arguments each records its trajectory to
+//!   `BENCH_<name>.json` in the working directory; with `--check` it
+//!   re-measures in quick mode and exits non-zero on a regression against
+//!   that recording. They share their check/record scaffolding through
+//!   [`gate`]; each bin's module docs list its gates.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod figures;
+pub mod gate;
 pub mod measure;
 
 pub use measure::{blink_collective, nccl_collective, CollectiveMeasurement};

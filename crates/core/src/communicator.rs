@@ -401,17 +401,14 @@ pub struct Communicator {
     /// the negative ones the plan cache cannot represent, so PCIe-fallback
     /// communicators stop rebuilding the NVLink graph every collective.
     spannable: BTreeMap<(GpuId, LinkSelection), bool>,
-    /// Memoised assembled hybrid planners per root, so hybrid-mode cache hits
-    /// clone no tree plans at all.
-    hybrids: BTreeMap<GpuId, HybridPlanner>,
     /// Memoised winner of the one-hop-vs-packed simulate-off per collective
     /// signature on switch fabrics; cleared by [`Communicator::replan`].
     switch_strategy: BTreeMap<String, SwitchChoice>,
     /// Memoised lowered programs per collective signature. A program is a
     /// pure function of its signature and of the machine, allocation,
-    /// options, simulator parameters, picked root, hybrid planners and
-    /// switch winners, all of which change only in [`Communicator::replan`],
-    /// which clears this memo with them.
+    /// options, simulator parameters, picked root, tree plans and switch
+    /// winners, all of which change only in [`Communicator::replan`], which
+    /// clears this memo with them.
     programs: ProgramMemo,
     /// Reusable engine buffers: the autotune loop executes one program per
     /// collective call, and the interned-resource scheduler's prepass tables
@@ -509,7 +506,6 @@ impl Communicator {
             plans,
             picked_root: None,
             spannable: BTreeMap::new(),
-            hybrids: BTreeMap::new(),
             switch_strategy: BTreeMap::new(),
             programs: ProgramMemo::default(),
             engine_scratch: EngineScratch::new(),
@@ -940,8 +936,8 @@ impl Communicator {
     /// Removed GPUs leave the allocation; GPUs added by the delta join it.
     /// Chunk autotuners reset (the hardware their throughput feedback
     /// calibrated against no longer exists), and every memoised program is
-    /// dropped with the hybrid planners and switch winners it was lowered
-    /// from, so each signature is lowered again on the post-delta machine;
+    /// dropped with the switch winners it was lowered from, so each
+    /// signature is lowered again on the post-delta machine;
     /// the engine scratch is kept — scratch contents never affect results.
     ///
     /// # Graceful-degradation ladder
@@ -1045,7 +1041,6 @@ impl Communicator {
         self.sim = Simulator::new(self.machine.clone(), self.options.sim_params);
         self.picked_root = None;
         self.spannable.clear();
-        self.hybrids.clear();
         self.switch_strategy.clear();
         self.programs.clear();
         self.autotuners.clear();
@@ -1181,16 +1176,12 @@ impl Communicator {
         };
         if nvlink_spans {
             if self.options.use_hybrid {
-                if !self.hybrids.contains_key(&root) {
-                    let planner = HybridPlanner::plan_cached(
-                        &mut self.plans,
-                        &self.induced,
-                        root,
-                        &self.options.treegen,
-                    )?;
-                    self.hybrids.insert(root, planner);
-                }
-                let planner = &self.hybrids[&root];
+                let planner = HybridPlanner::plan_cached(
+                    &mut self.plans,
+                    &self.induced,
+                    root,
+                    &self.options.treegen,
+                )?;
                 let (program, split) =
                     planner.build(kind, bytes, &self.codegen_options(chunk), self.sim.params())?;
                 let n = planner.nvlink_plan().num_trees() + planner.pcie_plan().num_trees();
