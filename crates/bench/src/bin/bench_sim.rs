@@ -24,6 +24,14 @@
 //!   program, so the ratio is what the engine's persistent candidate window
 //!   and per-link table buy on wide programs. Both must produce the same
 //!   makespan bit for bit.
+//! * **compiled_replay_dgx1v / compiled_replay_dgx2** — a communicator's
+//!   steady-state call: the DGX-1V all-8 1 MiB and the DGX-2 all-16 256 MiB
+//!   AllReduce programs, each run as compile+run
+//!   ([`blink_sim::Simulator::run_with_scratch`], what every call paid before
+//!   programs were compiled once) against a replay of the program compiled
+//!   once ([`blink_sim::Simulator::run_compiled`]). The ratio is what
+//!   compiling once saves per call; both paths' spans must equal
+//!   `Simulator::run_reference`'s bit for bit.
 //!
 //! The two segmented-vs-split stages simulate under a calibration with a
 //! non-zero [`SimParams::per_segment_overhead_us`]: a batched multi-range
@@ -38,7 +46,8 @@
 //! recorded `BENCH_sim.json`, or if the `allgather_dgx2` stage falls below
 //! [`ALLGATHER_FLOOR`]× outright, or if the segmented program's simulated
 //! time stops beating the split shape's, or if the engine's makespan on the
-//! wide ring differs from the reference scheduler's.
+//! wide ring differs from the reference scheduler's, or if either
+//! compiled-replay path's spans differ from the reference scheduler's.
 //! Both sides of each ratio run in this process, so runner hardware cancels
 //! out. It does not rewrite the JSON.
 
@@ -50,7 +59,7 @@ use blink_core::{
 use blink_nccl::schedule::{build_program, NcclCollective, ScheduleOptions};
 use blink_nccl::NcclPlanner;
 use blink_sim::{EngineScratch, Program, SimParams, Simulator};
-use blink_topology::presets::{dgx2, multi_server, ServerKind};
+use blink_topology::presets::{dgx1v, dgx2, multi_server, ServerKind};
 use blink_topology::{GpuId, Topology};
 use serde::Serialize;
 use std::time::Instant;
@@ -104,6 +113,24 @@ struct SimStageReport {
     speedup: f64,
 }
 
+/// One compile+run-vs-replay stage over a communicator's lowered program.
+#[derive(Debug, Serialize)]
+struct ReplayStageReport {
+    /// What the stage simulates.
+    scenario: String,
+    /// Simulated wall-clock of the program.
+    total_us: f64,
+    /// Whether both paths' per-op spans equal `Simulator::run_reference`'s
+    /// bit for bit.
+    spans_match_reference: bool,
+    /// Compile and scan on every run (`Simulator::run_with_scratch`).
+    compile_and_run: EnginePathReport,
+    /// Scan only, over the program compiled once (`Simulator::run_compiled`).
+    replay: EnginePathReport,
+    /// `replay.programs_per_sec / compile_and_run.programs_per_sec`.
+    speedup: f64,
+}
+
 #[derive(Debug, Serialize)]
 struct Config {
     fast_runs: usize,
@@ -112,6 +139,9 @@ struct Config {
     /// larger.
     wide_fast_runs: usize,
     wide_naive_runs: usize,
+    /// Run counts of each compiled-replay path (DGX-1V, DGX-2).
+    replay_runs_dgx1v: usize,
+    replay_runs_dgx2: usize,
 }
 
 #[derive(Debug, Serialize)]
@@ -125,6 +155,10 @@ struct Report {
     /// DGX-2 all-16 NCCL ring AllReduce: the engine vs the reference
     /// scheduler on the identical program.
     wide_ring_dgx2: SimStageReport,
+    /// DGX-1V all-8 1 MiB AllReduce: compile+run vs replay.
+    compiled_replay_dgx1v: ReplayStageReport,
+    /// DGX-2 all-16 256 MiB AllReduce: compile+run vs replay.
+    compiled_replay_dgx2: ReplayStageReport,
 }
 
 /// Times `runs` runs of `f` and reports the per-run rate over `ops` ops.
@@ -215,11 +249,59 @@ fn measure_reference_stage(
     }
 }
 
+/// Measures compile+run against a replay of the compiled program, for the
+/// program a default communicator on `machine`'s first `gpus` GPUs lowers an
+/// AllReduce of `bytes` to.
+fn measure_replay_stage(
+    scenario: &str,
+    machine: &Topology,
+    gpus: usize,
+    bytes: u64,
+    runs: usize,
+) -> ReplayStageReport {
+    let alloc: Vec<GpuId> = (0..gpus).map(GpuId).collect();
+    let mut comm = Communicator::new(machine.clone(), &alloc, CommunicatorOptions::default())
+        .expect("full-machine allocation");
+    let (_, program, _) = comm
+        .run_traced(CollectiveKind::AllReduce, bytes)
+        .expect("AllReduce lowers");
+    let sim = Simulator::with_defaults(machine.clone());
+    let compiled = sim.compile(&program).expect("the lowered program compiles");
+    let mut scratch = EngineScratch::new();
+    let reference = sim.run_reference(&program).unwrap();
+    let spans_match = |spans: &[(f64, f64)]| {
+        spans.len() == reference.op_spans.len()
+            && spans
+                .iter()
+                .zip(&reference.op_spans)
+                .all(|(a, b)| a.0.to_bits() == b.0.to_bits() && a.1.to_bits() == b.1.to_bits())
+    };
+    let fresh = sim.run_with_scratch(&program, &mut scratch).unwrap();
+    let replayed = sim.run_compiled(&compiled, &mut scratch).unwrap();
+    let spans_match_reference = spans_match(&fresh.op_spans) && spans_match(&replayed.op_spans);
+    let compile_and_run = time_path(program.len(), runs, || {
+        sim.run_with_scratch(&program, &mut scratch).unwrap();
+    });
+    let replay = time_path(program.len(), runs, || {
+        sim.run_compiled(&compiled, &mut scratch).unwrap();
+    });
+    ReplayStageReport {
+        scenario: scenario.to_string(),
+        total_us: reference.total_us,
+        spans_match_reference,
+        speedup: replay.programs_per_sec / compile_and_run.programs_per_sec,
+        compile_and_run,
+        replay,
+    }
+}
+
 fn measure(quick: bool) -> Report {
     let fast_runs = if quick { 200 } else { 1000 };
     let naive_runs = if quick { 20 } else { 100 };
     let wide_fast_runs = if quick { 10 } else { 50 };
     let wide_naive_runs = if quick { 2 } else { 10 };
+    let replay_runs_dgx1v = if quick { 400 } else { 2000 };
+    let replay_runs_dgx2 = if quick { 20 } else { 100 };
 
     // ---- DGX-2 one-hop AllGather (the per-slot op-count blow-up case) ----
     let machine = dgx2();
@@ -286,16 +368,36 @@ fn measure(quick: bool) -> Report {
         wide_naive_runs,
     );
 
+    // ---- a communicator's steady-state call: compile+run vs replay ----
+    let compiled_replay_dgx1v = measure_replay_stage(
+        "dgx1v allreduce, 8 GPUs, 1 MiB",
+        &dgx1v(),
+        8,
+        mb(1),
+        replay_runs_dgx1v,
+    );
+    let compiled_replay_dgx2 = measure_replay_stage(
+        "dgx2 allreduce, 16 GPUs, 256 MiB",
+        &dgx2(),
+        16,
+        mb(256),
+        replay_runs_dgx2,
+    );
+
     Report {
         config: Config {
             fast_runs,
             naive_runs,
             wide_fast_runs,
             wide_naive_runs,
+            replay_runs_dgx1v,
+            replay_runs_dgx2,
         },
         allgather_dgx2,
         multiserver_allreduce,
         wide_ring_dgx2,
+        compiled_replay_dgx1v,
+        compiled_replay_dgx2,
     }
 }
 
@@ -304,13 +406,18 @@ fn main() {
     let out = measure(check_mode);
     eprintln!(
         "allgather {:.1}x ({} -> {} ops), multiserver {:.1}x over the per-slot shape on the \
-         same engine; wide ring {:.1}x over the reference scheduler ({} ops)",
+         same engine; wide ring {:.1}x over the reference scheduler ({} ops); compiled \
+         replay {:.1}x (dgx1v, {} ops) and {:.1}x (dgx2, {} ops) over compile+run",
         out.allgather_dgx2.speedup,
         out.allgather_dgx2.naive.ops,
         out.allgather_dgx2.fast.ops,
         out.multiserver_allreduce.speedup,
         out.wide_ring_dgx2.speedup,
         out.wide_ring_dgx2.fast.ops,
+        out.compiled_replay_dgx1v.speedup,
+        out.compiled_replay_dgx1v.replay.ops,
+        out.compiled_replay_dgx2.speedup,
+        out.compiled_replay_dgx2.replay.ops,
     );
     if !check_mode {
         gate::record("sim", &out);
@@ -348,6 +455,23 @@ fn main() {
     ] {
         failures.extend(gate::below(
             &format!("{name} fast-over-naive speedup"),
+            stage.speedup,
+            recorded.at(&[name, "speedup"]),
+            CHECK_TOLERANCE,
+        ));
+    }
+    for (name, stage) in [
+        ("compiled_replay_dgx1v", &out.compiled_replay_dgx1v),
+        ("compiled_replay_dgx2", &out.compiled_replay_dgx2),
+    ] {
+        if !stage.spans_match_reference {
+            failures.push(format!(
+                "{}: compile+run or replay spans differ from the reference scheduler's",
+                stage.scenario
+            ));
+        }
+        failures.extend(gate::below(
+            &format!("{name} replay-over-compile+run speedup"),
             stage.speedup,
             recorded.at(&[name, "speedup"]),
             CHECK_TOLERANCE,

@@ -4,15 +4,17 @@
 //! A [`Communicator`] is created for one job's GPU allocation, exactly like
 //! `ncclCommInitRank` creates a communicator for a set of ranks. The first
 //! call of each collective signature — kind, byte count and chunk size —
-//! plans (or reuses) the tree set for the current strategy and lowers it to a
-//! transfer program, which the communicator memoises: a training loop
-//! re-issuing the same gradient collectives every iteration lowers each of
-//! them once, as Blink's CodeGen does. Every call then executes the
-//! signature's program on the simulator by reference, feeds the measured
-//! throughput back into the MIAD chunk tuner, and returns a
-//! [`CollectiveReport`]. The memo holds at most a fixed number of signatures
-//! (least recently used out) and is cleared by [`Communicator::replan`], the
-//! only thing that can change what a signature lowers to.
+//! plans (or reuses) the tree set for the current strategy, lowers it to a
+//! transfer program and compiles that program for the simulator
+//! ([`blink_sim::Simulator::compile`]), and the communicator memoises both:
+//! a training loop re-issuing the same gradient collectives every iteration
+//! lowers and compiles each of them once, as Blink's CodeGen does. Every
+//! call then replays the signature's compiled program — only the engine's
+//! scan runs, with no validation or interning — feeds the measured throughput
+//! back into the MIAD chunk tuner, and returns a [`CollectiveReport`]. The
+//! memo holds at most a fixed number of signatures (least recently used out)
+//! and is cleared by [`Communicator::replan`], the only thing that can
+//! change what a signature lowers to.
 //!
 //! When the fabric changes underneath a live job, [`Communicator::replan`]
 //! takes a [`TopologyDelta`] and recovers in place: the plan cache demotes
@@ -37,7 +39,8 @@ use crate::treegen::{LinkSelection, TreeGenOptions};
 use crate::{BlinkError, Result};
 use blink_graph::{DiGraph, WeightedTree};
 use blink_sim::{
-    check_collective, EngineScratch, Program, RunReport, SimParams, Simulator, ValueCheck,
+    check_collective, CompiledProgram, EngineScratch, Program, RunReport, SimParams, Simulator,
+    ValueCheck,
 };
 use blink_topology::{GpuId, GroupSplit, Topology, TopologyDelta};
 use serde::{Deserialize, Serialize};
@@ -99,9 +102,8 @@ impl Default for CommunicatorOptions {
     }
 }
 
-/// Which lowering won the strategy competition for one collective signature
-/// on an all-to-all switch fabric (see
-/// [`Communicator::build_switch_program`]).
+/// The two candidate lowerings of a collective on an all-to-all switch
+/// fabric (see [`Communicator::build_switch_program`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SwitchChoice {
     /// Star/one-hop trees through the switch (the paper's DGX-2 strategy).
@@ -258,13 +260,17 @@ pub struct ReplanReport {
 /// replays: the lowered program and the engine's per-op `(start, end)` spans.
 pub type TracedRun = (CollectiveReport, Program, Vec<(f64, f64)>);
 
-/// A collective lowered to a program by [`Communicator::build_program`] and
-/// memoised per signature: calls run (and the oracle checks) the program in
-/// place, and only [`Communicator::run_traced`] and the streamed/grouped
-/// results, which hand out an owned [`Program`], copy it.
+/// A collective lowered to a program by [`Communicator::build_program`],
+/// compiled for the communicator's simulator, and memoised per signature:
+/// calls replay the compiled form (the engine's scan only), the oracle
+/// checks the program in place, and only [`Communicator::run_traced`] and
+/// the streamed/grouped results, which hand out an owned [`Program`], copy
+/// it. Both forms are dropped together by [`Communicator::replan`], which
+/// also replaces the simulator the compiled form is stamped for.
 #[derive(Debug)]
 pub(crate) struct Lowering {
     pub(crate) program: Program,
+    pub(crate) compiled: CompiledProgram,
     /// Trees (or partitions) the program spreads the buffer over.
     pub(crate) num_trees: usize,
     pub(crate) strategy: String,
@@ -275,14 +281,9 @@ pub(crate) struct Lowering {
 /// caller that needs the run does not repeat it.
 type Lowered = (Lowering, Option<RunReport>);
 
-fn unsimulated(program: Program, num_trees: usize, strategy: String) -> Lowered {
-    let lowering = Lowering {
-        program,
-        num_trees,
-        strategy,
-    };
-    (lowering, None)
-}
+/// A lowering before compilation: the program, its tree count and its
+/// strategy tag.
+type Candidate = (Program, usize, String);
 
 /// One call's report, the lowering it ran (`None` for a trivial call: single
 /// GPU or empty buffer) and the engine's per-op spans: a [`TracedRun`]
@@ -401,18 +402,15 @@ pub struct Communicator {
     /// the negative ones the plan cache cannot represent, so PCIe-fallback
     /// communicators stop rebuilding the NVLink graph every collective.
     spannable: BTreeMap<(GpuId, LinkSelection), bool>,
-    /// Memoised winner of the one-hop-vs-packed simulate-off per collective
-    /// signature on switch fabrics; cleared by [`Communicator::replan`].
-    switch_strategy: BTreeMap<String, SwitchChoice>,
-    /// Memoised lowered programs per collective signature. A program is a
-    /// pure function of its signature and of the machine, allocation,
-    /// options, simulator parameters, picked root, tree plans and switch
-    /// winners, all of which change only in [`Communicator::replan`], which
-    /// clears this memo with them.
+    /// Memoised lowered and compiled programs per collective signature. A
+    /// program is a pure function of its signature and of the machine,
+    /// allocation, options, simulator parameters, picked root and tree
+    /// plans, all of which change only in [`Communicator::replan`], which
+    /// clears this memo with them. On switch fabrics the entry is the winner
+    /// of that signature's one-hop-vs-packed competition.
     programs: ProgramMemo,
-    /// Reusable engine buffers: the autotune loop executes one program per
-    /// collective call, and the interned-resource scheduler's prepass tables
-    /// amortise across all of them (see `blink_sim::engine`'s scratch-reuse
+    /// Reusable engine buffers: every collective call runs one compiled
+    /// program's scan over them (see `blink_sim::engine`'s scratch-reuse
     /// contract).
     engine_scratch: EngineScratch,
 }
@@ -506,7 +504,6 @@ impl Communicator {
             plans,
             picked_root: None,
             spannable: BTreeMap::new(),
-            switch_strategy: BTreeMap::new(),
             programs: ProgramMemo::default(),
             engine_scratch: EngineScratch::new(),
         })
@@ -630,8 +627,8 @@ impl Communicator {
         Ok((report, check))
     }
 
-    /// One collective call: lowers the signature on a memo miss, runs its
-    /// program, and feeds the chunk tuner.
+    /// One collective call: lowers and compiles the signature on a memo
+    /// miss, replays its compiled program, and feeds the chunk tuner.
     fn call(&mut self, kind: CollectiveKind, bytes: u64) -> Result<Call> {
         if self.allocation.len() < 2 || bytes == 0 {
             let report = CollectiveReport {
@@ -649,7 +646,7 @@ impl Communicator {
         let (lowering, report) = self.lowering(kind, bytes, chunk)?;
         let report = match report {
             Some(report) => report,
-            None => self.simulate(&lowering.program)?,
+            None => self.simulate(&lowering.compiled)?,
         };
         let gbps = report.algorithmic_bandwidth_gbps(bytes);
         self.observe_chunk(kind, bytes, gbps);
@@ -665,7 +662,7 @@ impl Communicator {
         Ok((collective_report, Some(lowering), report.op_spans))
     }
 
-    /// The signature's memoised lowering, built by
+    /// The signature's memoised lowering, built and compiled by
     /// [`Communicator::build_program`] on a miss. On a miss whose lowering
     /// already simulated its program, that run comes back too.
     pub(crate) fn lowering(
@@ -694,11 +691,11 @@ impl Communicator {
     /// [`crate::fusion::fusible`]) the fusion pass first batches consecutive
     /// requests under [`CommunicatorOptions::fusion_threshold_bytes`] into
     /// single segmented programs; each resulting program comes from the
-    /// signature memo (lowered on its first use), is issued at the latest
-    /// ready time of its members, and all programs contend for links inside
-    /// one session scheduled over the memoised programs in place
-    /// ([`Simulator::run_session`]). Zero-byte requests complete at their
-    /// ready time and appear in no group.
+    /// signature memo (lowered and compiled on its first use), is issued at
+    /// the latest ready time of its members, and all programs contend for
+    /// links inside one session scheduled over the memoised compiled
+    /// programs in place ([`Simulator::run_compiled_session`]). Zero-byte
+    /// requests complete at their ready time and appear in no group.
     ///
     /// The MIAD chunk tuner is *not* fed from streamed runs: per-group
     /// bandwidth under cross-program contention would mislead it.
@@ -739,13 +736,13 @@ impl Communicator {
                 .fold(0.0f64, f64::max);
             lowered.push((group, issue_us, lowering));
         }
-        let entries: Vec<(&Program, f64)> = lowered
+        let entries: Vec<(&CompiledProgram, f64)> = lowered
             .iter()
-            .map(|(_, issue_us, lowering)| (&lowering.program, *issue_us))
+            .map(|(_, issue_us, lowering)| (&lowering.compiled, *issue_us))
             .collect();
         let report = self
             .sim
-            .run_session(&entries, &mut self.engine_scratch)
+            .run_compiled_session(&entries, &mut self.engine_scratch)
             .map_err(|e| BlinkError::Simulation(e.to_string()))?;
         let mut out = Vec::with_capacity(lowered.len());
         for ((group, issue_us, lowering), span) in lowered.into_iter().zip(report.programs) {
@@ -936,9 +933,10 @@ impl Communicator {
     /// Removed GPUs leave the allocation; GPUs added by the delta join it.
     /// Chunk autotuners reset (the hardware their throughput feedback
     /// calibrated against no longer exists), and every memoised program is
-    /// dropped with the switch winners it was lowered from, so each
-    /// signature is lowered again on the post-delta machine;
-    /// the engine scratch is kept — scratch contents never affect results.
+    /// dropped with its compiled form, so each signature is lowered,
+    /// compiled and (on switch fabrics) competed again on the post-delta
+    /// machine; the engine scratch is kept — scratch contents never affect
+    /// results.
     ///
     /// # Graceful-degradation ladder
     ///
@@ -1041,7 +1039,6 @@ impl Communicator {
         self.sim = Simulator::new(self.machine.clone(), self.options.sim_params);
         self.picked_root = None;
         self.spannable.clear();
-        self.switch_strategy.clear();
         self.programs.clear();
         self.autotuners.clear();
         self.plans
@@ -1146,7 +1143,7 @@ impl Communicator {
                 info.partitions,
                 if fell_back { "; PCIe fallback" } else { "" }
             );
-            return Ok(unsimulated(program, info.partitions, strategy));
+            return self.unsimulated((program, info.partitions, strategy));
         }
 
         let cg = CodeGen::new(self.codegen_options(chunk));
@@ -1186,7 +1183,7 @@ impl Communicator {
                     planner.build(kind, bytes, &self.codegen_options(chunk), self.sim.params())?;
                 let n = planner.nvlink_plan().num_trees() + planner.pcie_plan().num_trees();
                 let strategy = format!("hybrid NVLink+PCIe ({} B over PCIe)", split.pcie_bytes);
-                return Ok(unsimulated(program, n, strategy));
+                return self.unsimulated((program, n, strategy));
             }
             let treegen_opts = self.options.treegen;
             let plan = self.plans.plan_for(&self.induced, &treegen_opts, root)?;
@@ -1197,7 +1194,7 @@ impl Communicator {
             } else {
                 "packed spanning trees (NVLink)".to_string()
             };
-            return Ok(unsimulated(program, n, strategy));
+            return self.unsimulated((program, n, strategy));
         }
 
         // ---- NVLink cannot span the allocation: fall back to PCIe trees ----
@@ -1218,13 +1215,15 @@ impl Communicator {
         } else {
             "packed spanning trees (PCIe fallback)".to_string()
         };
-        Ok(unsimulated(program, n, strategy))
+        self.unsimulated((program, n, strategy))
     }
 
     /// Lowers a collective on an all-to-all switch fabric (NVSwitch): one-hop
     /// trees and MWU-packed spanning trees over the induced switch graph are
-    /// *both* candidate strategies, and the first call per collective
-    /// signature simulates both programs once and memoises the faster one.
+    /// *both* candidate strategies, and each signature's memo miss compiles
+    /// and simulates both programs once; the faster one becomes the
+    /// signature's memo entry, so the choice is made per `(kind, bytes,
+    /// chunk)` and a small call never decides a large one's lowering.
     /// One-hop is no longer a forced short-circuit — partial DGX-2
     /// allocations plan packed trees exactly like any other induced subgraph
     /// and win whenever their realised rate is higher (rooted collectives on
@@ -1232,37 +1231,28 @@ impl Communicator {
     /// against its injection cap). If packed planning fails, one-hop wins by
     /// default.
     ///
-    /// The memoised winner is keyed by the collective signature (kind and
-    /// root), decided at the first call's byte size, and cleared by
-    /// [`Communicator::replan`]. When both candidates were simulated, the
-    /// winner's run is returned with its lowering, so the call that held the
-    /// competition does not simulate the winner a third time.
+    /// When both candidates were simulated, the winner's run is returned
+    /// with its lowering, so the call that held the competition does not
+    /// simulate the winner a third time.
     fn build_switch_program(
         &mut self,
         kind: CollectiveKind,
         bytes: u64,
         chunk: u64,
     ) -> Result<Lowered> {
-        let key = format!("{kind}");
-        if let Some(&choice) = self.switch_strategy.get(&key) {
-            return self.switch_candidate(choice, kind, bytes, chunk);
-        }
-        let (one_hop, _) = self.switch_candidate(SwitchChoice::OneHop, kind, bytes, chunk)?;
-        let (choice, winner) = match self.switch_candidate(SwitchChoice::Packed, kind, bytes, chunk)
-        {
-            Ok((packed, _)) => {
-                let one_hop_run = self.simulate(&one_hop.program)?;
-                let packed_run = self.simulate(&packed.program)?;
-                if packed_run.total_us + 1e-9 < one_hop_run.total_us {
-                    (SwitchChoice::Packed, (packed, Some(packed_run)))
-                } else {
-                    (SwitchChoice::OneHop, (one_hop, Some(one_hop_run)))
-                }
-            }
-            Err(_) => (SwitchChoice::OneHop, (one_hop, None)),
+        let one_hop = self.switch_candidate(SwitchChoice::OneHop, kind, bytes, chunk)?;
+        let Ok(packed) = self.switch_candidate(SwitchChoice::Packed, kind, bytes, chunk) else {
+            return self.unsimulated(one_hop);
         };
-        self.switch_strategy.insert(key, choice);
-        Ok(winner)
+        let one_hop = self.compile(one_hop)?;
+        let packed = self.compile(packed)?;
+        let one_hop_run = self.simulate(&one_hop.compiled)?;
+        let packed_run = self.simulate(&packed.compiled)?;
+        Ok(if packed_run.total_us + 1e-9 < one_hop_run.total_us {
+            (packed, Some(packed_run))
+        } else {
+            (one_hop, Some(one_hop_run))
+        })
     }
 
     /// Builds one switch-fabric candidate lowering.
@@ -1272,7 +1262,7 @@ impl Communicator {
         kind: CollectiveKind,
         bytes: u64,
         chunk: u64,
-    ) -> Result<Lowered> {
+    ) -> Result<Candidate> {
         let cg = CodeGen::new(self.codegen_options(chunk));
         match choice {
             SwitchChoice::OneHop => {
@@ -1284,9 +1274,8 @@ impl Communicator {
                     Some(root) => vec![one_hop_broadcast_tree(&self.allocation, root, cap)],
                     None => one_hop_trees(&self.allocation, cap / self.allocation.len() as f64),
                 };
-                let n = trees.len();
                 let program = cg.build(&trees, kind, bytes)?;
-                Ok(unsimulated(program, n, "one-hop switch trees".to_string()))
+                Ok((program, trees.len(), "one-hop switch trees".to_string()))
             }
             SwitchChoice::Packed => {
                 // Any root spans a switch fabric and the graph is symmetric,
@@ -1296,19 +1285,35 @@ impl Communicator {
                 let plan = self.plans.plan_for(&self.induced, &treegen_opts, root)?;
                 let n = plan.num_trees();
                 let program = cg.build(&plan.trees, kind, bytes)?;
-                Ok(unsimulated(
-                    program,
-                    n,
-                    "packed spanning trees (NVLink switch fabric)".to_string(),
-                ))
+                let strategy = "packed spanning trees (NVLink switch fabric)".to_string();
+                Ok((program, n, strategy))
             }
         }
     }
 
-    /// Simulates `program` once on this communicator's engine scratch.
-    fn simulate(&mut self, program: &Program) -> Result<RunReport> {
+    /// Compiles a candidate for this communicator's simulator.
+    fn compile(&self, (program, num_trees, strategy): Candidate) -> Result<Lowering> {
+        let compiled = self
+            .sim
+            .compile(&program)
+            .map_err(|e| BlinkError::Simulation(e.to_string()))?;
+        Ok(Lowering {
+            program,
+            compiled,
+            num_trees,
+            strategy,
+        })
+    }
+
+    /// A compiled lowering whose choice simulated nothing.
+    fn unsimulated(&self, candidate: Candidate) -> Result<Lowered> {
+        Ok((self.compile(candidate)?, None))
+    }
+
+    /// Replays a compiled program on this communicator's engine scratch.
+    fn simulate(&mut self, compiled: &CompiledProgram) -> Result<RunReport> {
         self.sim
-            .run_with_scratch(program, &mut self.engine_scratch)
+            .run_compiled(compiled, &mut self.engine_scratch)
             .map_err(|e| BlinkError::Simulation(e.to_string()))
     }
 }
@@ -1434,7 +1439,8 @@ mod tests {
         );
         let ar = comm.all_reduce(mb(256)).unwrap();
         assert!(ar.strategy.contains("one-hop switch trees"), "{ar}");
-        // the verdict is memoised per kind: repeat calls keep the strategy
+        // each signature holds its own competition; packed wins broadcast
+        // at 64 MiB too
         let again = comm.broadcast(GpuId(4), mb(64)).unwrap();
         assert!(again.strategy.contains("packed"), "{again}");
         // both lowerings stay value-correct on the fragment
@@ -1453,6 +1459,36 @@ mod tests {
             let rerun = fresh.sim.run(&program).unwrap();
             assert_eq!(report.elapsed_us.to_bits(), rerun.total_us.to_bits());
             assert_eq!(spans, rerun.op_spans);
+        }
+    }
+
+    /// The switch-fabric competition is decided per signature: a small call
+    /// of the same kind, made first, leaves a later large call's lowering
+    /// and simulated time exactly what a fresh communicator gives it.
+    #[test]
+    fn a_small_call_first_does_not_decide_a_large_calls_lowering() {
+        let alloc: Vec<GpuId> = (0..16).map(GpuId).collect();
+        let shared = SharedPlanCache::new();
+        let comm = || {
+            Communicator::with_shared_plans(dgx2(), &alloc, Default::default(), shared.clone())
+                .unwrap()
+        };
+        for kind in [
+            CollectiveKind::Broadcast { root: GpuId(0) },
+            CollectiveKind::AllReduce,
+        ] {
+            let large = comm().run(kind, mb(256)).unwrap();
+            let small_alone = comm().run(kind, 1024).unwrap();
+            let mut warm = comm();
+            let small = warm.run(kind, 1024).unwrap();
+            let after_small = warm.run(kind, mb(256)).unwrap();
+            assert_eq!(after_small.strategy, large.strategy, "{kind}");
+            assert_eq!(
+                after_small.elapsed_us.to_bits(),
+                large.elapsed_us.to_bits(),
+                "{kind}"
+            );
+            assert_eq!(bits(&small), bits(&small_alone), "{kind}");
         }
     }
 

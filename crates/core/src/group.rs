@@ -25,7 +25,7 @@
 use crate::collective::CollectiveKind;
 use crate::communicator::{Communicator, CommunicatorOptions, Lowering};
 use crate::{BlinkError, Result};
-use blink_sim::{check_collective, EngineScratch, Program, Simulator, ValueCheck};
+use blink_sim::{check_collective, CompiledProgram, EngineScratch, Program, Simulator, ValueCheck};
 use blink_topology::{GroupSplit, Topology};
 use std::sync::Arc;
 
@@ -130,9 +130,14 @@ impl ProcessGroups {
     ///
     /// `requests[i]` is subgroup `i`'s `(kind, bytes)`. Every subgroup's
     /// program comes from its own child communicator's signature memo
-    /// (lowered on first use: packed trees, one-hop, hybrid — whatever its
-    /// induced topology calls for), is issued into one simulator session at
-    /// `t = 0` by reference, and executes under shared-link contention.
+    /// (lowered and compiled on first use: packed trees, one-hop, hybrid —
+    /// whatever its induced topology calls for), is issued into one
+    /// simulator session at `t = 0` as its compiled form, and executes under
+    /// shared-link contention. The children compile for the same machine and
+    /// parameters as the group's simulator, so no program is recompiled; a
+    /// child whose machine has since diverged (a `replan` through
+    /// [`ProcessGroups::group_mut`]) fails the session with a simulation
+    /// error instead of running on the wrong fabric.
     /// Subgroups of a single GPU, or zero-byte requests, are trivially
     /// complete and contribute an empty program.
     ///
@@ -159,13 +164,13 @@ impl ProcessGroups {
 
         // slot[i] = index of subgroup i's program in the session's entries,
         // or None when it has no ops.
-        let mut entries: Vec<(&Program, f64)> = Vec::with_capacity(lowered.len());
+        let mut entries: Vec<(&CompiledProgram, f64)> = Vec::with_capacity(lowered.len());
         let mut slots: Vec<Option<usize>> = Vec::with_capacity(lowered.len());
         for lowering in &lowered {
             match lowering {
-                Some(l) if !l.program.ops().is_empty() => {
+                Some(l) if !l.compiled.is_empty() => {
                     slots.push(Some(entries.len()));
-                    entries.push((&l.program, 0.0));
+                    entries.push((&l.compiled, 0.0));
                 }
                 _ => slots.push(None),
             }
@@ -175,7 +180,7 @@ impl ProcessGroups {
         } else {
             Some(
                 self.sim
-                    .run_session(&entries, &mut self.engine_scratch)
+                    .run_compiled_session(&entries, &mut self.engine_scratch)
                     .map_err(|e| BlinkError::Simulation(e.to_string()))?,
             )
         };
@@ -245,7 +250,7 @@ impl ProcessGroups {
 mod tests {
     use super::*;
     use blink_topology::presets::{dgx1v, dgx2, multi_server, ServerKind};
-    use blink_topology::GpuId;
+    use blink_topology::{GpuId, TopologyDelta};
 
     fn ids(v: &[usize]) -> Vec<GpuId> {
         v.iter().map(|&i| GpuId(i)).collect()
@@ -338,6 +343,23 @@ mod tests {
             assert!(!g.program.ops().is_empty());
             assert!(g.strategy.contains("switch"), "strategy: {}", g.strategy);
         }
+    }
+
+    /// A child replanned onto a changed machine no longer matches the
+    /// group's shared simulator: the concurrent run refuses its compiled
+    /// program instead of timing it on the old fabric.
+    #[test]
+    fn a_child_replanned_onto_another_machine_fails_the_shared_session() {
+        let parent = whole(dgx1v());
+        let mut groups = parent.split(&GroupSplit::ByStride(2)).unwrap();
+        let requests = vec![(CollectiveKind::AllReduce, 8 << 20); 2];
+        groups.run_concurrent(&requests).unwrap();
+        let child = groups.group_mut(0);
+        let delta = TopologyDelta::kill_link(child.induced_topology(), GpuId(0), GpuId(2));
+        child.replan(&delta).unwrap();
+        child.all_reduce(8 << 20).unwrap();
+        let err = groups.run_concurrent(&requests).unwrap_err();
+        assert!(matches!(err, BlinkError::Simulation(_)), "{err}");
     }
 
     #[test]

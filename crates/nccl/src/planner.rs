@@ -5,7 +5,9 @@ use blink_graph::dbtree::{double_binary_tree, DoubleBinaryTree};
 use blink_graph::{find_rings, DiGraph, Ring, RingSearch};
 use blink_topology::{GpuId, LinkKind, Topology};
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 use std::fmt;
+use std::sync::{Mutex, PoisonError};
 
 /// Options controlling the planner.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -147,17 +149,55 @@ impl fmt::Display for PlanError {
 
 impl std::error::Error for PlanError {}
 
-/// Plans NCCL channels for allocations on a machine.
+/// What planning derives from an allocation alone, whatever the byte count.
 #[derive(Debug, Clone)]
+struct Channels {
+    lane_gbps: f64,
+    pcie_gbps: f64,
+    switch_fabric: bool,
+    /// NVLink ring discovery, run by the first plan that takes the ring path.
+    rings: Option<RingSearch>,
+}
+
+/// Plans NCCL channels for allocations on a machine.
+///
+/// Like NCCL, which builds its channels once at communicator init, the
+/// planner discovers an allocation's rings once: the first plan over an
+/// allocation (given in the same order) memoises them, and every later plan
+/// over it reuses them, so repeated plans are bit-identical to the first
+/// and cost no ring search.
+#[derive(Debug)]
 pub struct NcclPlanner {
     topology: Topology,
     options: PlannerOptions,
+    /// Per allocation, in the order given.
+    channels: Mutex<HashMap<Vec<GpuId>, Channels>>,
+}
+
+impl Clone for NcclPlanner {
+    fn clone(&self) -> Self {
+        NcclPlanner {
+            topology: self.topology.clone(),
+            options: self.options,
+            channels: Mutex::new(self.memo().clone()),
+        }
+    }
 }
 
 impl NcclPlanner {
     /// Creates a planner over a machine (or cluster) topology.
     pub fn new(topology: Topology, options: PlannerOptions) -> Self {
-        NcclPlanner { topology, options }
+        NcclPlanner {
+            topology,
+            options,
+            channels: Mutex::new(HashMap::new()),
+        }
+    }
+
+    /// The channel memo. A panic while it was held leaves at worst an
+    /// allocation without memoised rings, which the next plan discovers.
+    fn memo(&self) -> std::sync::MutexGuard<'_, HashMap<Vec<GpuId>, Channels>> {
+        self.channels.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Creates a planner with default options.
@@ -207,8 +247,19 @@ impl NcclPlanner {
             && gpus.iter().all(|&g| self.topology.gpu_cap(g).is_some())
     }
 
+    /// The NVLink graph of a validated allocation.
+    fn nvlink_graph(&self, allocation: &[GpuId]) -> (Topology, DiGraph) {
+        let sub = self
+            .topology
+            .induced(allocation)
+            .expect("allocation validated by plan");
+        let nvlink = DiGraph::from_topology_filtered(&sub, |l| l.kind.is_nvlink());
+        (sub, nvlink)
+    }
+
     /// Plans the channels NCCL would use for a collective over `allocation`
-    /// moving `bytes` bytes.
+    /// moving `bytes` bytes. Ring discovery is memoised per allocation (see
+    /// [`NcclPlanner`]).
     ///
     /// # Errors
     /// Fails if fewer than two GPUs are given or a GPU is unknown.
@@ -221,15 +272,21 @@ impl NcclPlanner {
                 return Err(PlanError::UnknownGpu(g));
             }
         }
-        let sub = self
-            .topology
-            .induced(allocation)
-            .expect("allocation validated above");
-        let nvlink = DiGraph::from_topology_filtered(&sub, |l| l.kind.is_nvlink());
-        let lane = self.lane_gbps(&nvlink);
-        let pcie = self.pcie_gbps(&sub, allocation);
+        let mut memo = self.memo();
+        if !memo.contains_key(allocation) {
+            let (sub, nvlink) = self.nvlink_graph(allocation);
+            let channels = Channels {
+                lane_gbps: self.lane_gbps(&nvlink),
+                pcie_gbps: self.pcie_gbps(&sub, allocation),
+                switch_fabric: self.is_switch_fabric(&sub, allocation),
+                rings: None,
+            };
+            memo.insert(allocation.to_vec(), channels);
+        }
+        let channels = memo.get_mut(allocation).expect("memoised above");
+        let (lane, pcie) = (channels.lane_gbps, channels.pcie_gbps);
 
-        if self.is_switch_fabric(&sub, allocation) && bytes < self.options.tree_threshold_bytes {
+        if channels.switch_fabric && bytes < self.options.tree_threshold_bytes {
             let dbt = double_binary_tree(allocation);
             return Ok(NcclPlan {
                 gpus: allocation.to_vec(),
@@ -241,7 +298,10 @@ impl NcclPlanner {
             });
         }
 
-        let search = find_rings(&nvlink, lane);
+        let search = channels
+            .rings
+            .get_or_insert_with(|| find_rings(&self.nvlink_graph(allocation).1, lane))
+            .clone();
         let algorithm = if search.requires_pcie_fallback() {
             NcclAlgorithm::PcieRing(Ring {
                 order: allocation.to_vec(),
@@ -321,6 +381,39 @@ mod tests {
             plan.algorithm,
             NcclAlgorithm::DoubleBinaryTrees(_)
         ));
+    }
+
+    #[test]
+    fn ring_discovery_is_memoised_per_allocation() {
+        let fresh_plan = |alloc: &[GpuId], bytes: u64| {
+            let plan = NcclPlanner::with_defaults(dgx2())
+                .plan(alloc, bytes)
+                .unwrap();
+            format!("{plan:?}")
+        };
+        let planner = NcclPlanner::with_defaults(dgx2());
+        let all16: Vec<GpuId> = (0..16).map(GpuId).collect();
+        let quad = [GpuId(3), GpuId(0), GpuId(9), GpuId(12)];
+        // a tree-sized call first must not change the ring plans after it
+        for (alloc, bytes) in [
+            (&all16[..], 4 * 1024),
+            (&all16[..], 256 << 20),
+            (&quad[..], 1 << 20),
+            (&all16[..], 4 << 20),
+            (&quad[..], 1 << 20),
+            (&all16[..], 256 << 20),
+        ] {
+            let plan = planner.plan(alloc, bytes).unwrap();
+            assert_eq!(format!("{plan:?}"), fresh_plan(alloc, bytes));
+        }
+        assert_eq!(planner.memo().len(), 2);
+        assert!(planner.memo().values().all(|c| c.rings.is_some()));
+        // a clone carries the memo and plans the same
+        let clone = planner.clone();
+        assert_eq!(
+            format!("{:?}", clone.plan(&quad, 1 << 20).unwrap()),
+            fresh_plan(&quad, 1 << 20)
+        );
     }
 
     #[test]

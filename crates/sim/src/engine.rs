@@ -10,59 +10,99 @@
 //! their operations, which at chunk granularity is an accurate stand-in for
 //! fair time-sharing of a link.
 //!
-//! # The interned-resource scheduling model
+//! # Compile once, run many
 //!
 //! The autotune and planning loops simulate thousands of candidate programs,
-//! so the scheduler itself is a hot path. [`Simulator::run_with_scratch`]
-//! therefore splits execution into a **prepass** and a **zero-allocation
-//! scan**, and makes the scan's cost per op independent of how many ops are
-//! ready at once. All of its buffers live in an [`EngineScratch`] that callers
-//! reuse across runs.
+//! and a communicator re-runs each memoised collective program on every
+//! call, so execution is split into two steps:
 //!
-//! * **Prepass.** Every [`Resource`] an op touches is interned to a dense
-//!   integer id, the per-op resource-id lists are laid out in one flat CSR
-//!   buffer, each op's duration is precomputed, and the dependency children
-//!   lists become a second CSR.
-//! * **Per-link table.** A copy's `(src, dst, class)` link is interned
-//!   *before* anything else about the copy is computed. The first copy over a
-//!   link resolves, once for the whole run, the link's capacity (a scan of
-//!   the topology's links between the two GPUs) and its non-stream resource
-//!   ids (the link itself, switch ports, server NICs); every later copy over
-//!   the link reads both from the table, so a copy's prepass work is a few
-//!   hash lookups (its stream and its link), however many links the machine
-//!   has.
-//! * **Persistent candidate window.** The scan picks, among the
-//!   `CANDIDATES` earliest-ready ops in `(ready time, op id)` order, the
-//!   one that can *start* earliest given current resource occupancy. Those
-//!   candidates live in a window kept sorted in `(time, id)` order across
-//!   iterations; every other ready op waits in a min-heap. The invariant is
-//!   that the window is full or the heap is empty, and every heap entry
-//!   comes after the window's last entry in `(time, id)` order. Each
-//!   iteration removes the chosen op from the window and refills it with
-//!   one heap pop; each newly ready op (roots included) is inserted at its
-//!   sorted position, and if that overflows the window its last entry is evicted
-//!   to the heap (an op that sorts after a full window's last entry goes
-//!   straight to the heap). An op therefore costs a few heap operations and
-//!   one window scan, not a pop-and-push of the whole candidate set. The
-//!   scan also stops at the first candidate whose ready time is at least
-//!   the best start found so far plus the `1e-9` tie tolerance: every later
-//!   candidate is ready, and so starts, no earlier.
+//! * **Compile.** [`Simulator::compile`] validates a program and lowers it to
+//!   a [`CompiledProgram`]. Every [`Resource`] an op touches is interned to a
+//!   dense integer id and the per-op resource-id lists are laid out in one
+//!   flat CSR buffer; each op's duration is precomputed; the dependency
+//!   children (explicit deps plus the same-stream FIFO predecessor) become a
+//!   second CSR, with each op's in-degree and the list of roots. A copy's
+//!   `(src, dst, class)` link is interned *before* anything else about the
+//!   copy is computed: the first copy over a link resolves, once per
+//!   compilation, the link's capacity (a scan of the topology's links between
+//!   the two GPUs) and its non-stream resource ids (the link itself, switch
+//!   ports, server NICs), and every later copy over the link reads both from
+//!   a per-link table, so a copy costs a few hash lookups however many links
+//!   the machine has.
+//! * **Scan.** [`Simulator::run_compiled`] (one program) and
+//!   [`Simulator::run_compiled_session`] (several) list-schedule a compiled
+//!   program. The scan never writes to it: all per-run state — resource free
+//!   times, ready times, a copy of the in-degrees, the candidate window and
+//!   heap, per-link accounting — lives in an [`EngineScratch`], and nothing
+//!   is allocated per iteration, only the report returned at the end.
 //!
-//! The fast path's schedule is **bit-identical** to the direct
-//! implementation ([`Simulator::run_reference`], kept as the allocating
-//! reference the regression tests compare against). Interning and the link
-//! table only change how a resource's free time or a link's capacity is
-//! looked up, never which resources an op occupies, how long it runs (the
-//! duration formula is shared and evaluated in the same order), or how ties
-//! are broken. The window holds exactly the ops the reference pops off its
-//! heap each iteration, because both are the `CANDIDATES` smallest ready
-//! entries under the same total `(time, id)` order, and the scan walks them
-//! in that order with the same `1e-9` tie rule, so it picks the same op.
-//! Stopping the scan early skips only candidates that cannot win: a ready
-//! time is never NaN (issue timestamps are checked finite, and every other
-//! ready time is an `f64::max` of op ends starting from `0.0`, which
-//! ignores NaN), so a candidate's start, the `max` of its ready time and
-//! its resources' free times, is never below its ready time.
+//! [`Simulator::run`], [`Simulator::run_with_scratch`],
+//! [`Simulator::run_session`] and [`Session`] keep taking plain programs:
+//! each compiles into the scratch's own layout and scans that, so one
+//! compiler and one scheduler sit behind every entry point. A caller that
+//! runs the same program again and again (a communicator's memoised
+//! collectives) compiles it once and replays the compiled form, paying only
+//! the scan.
+//!
+//! ## The simulator stamp
+//!
+//! A compiled program bakes in link capacities, port and NIC resources and
+//! op durations, so it is valid only for the topology and [`SimParams`] it
+//! was compiled for. Compilation stamps it with a fingerprint of both, and
+//! running it on a simulator with a different fingerprint — another
+//! topology, or other parameters — returns [`SimError::ForeignCompilation`]
+//! and schedules nothing. Simulators built from equal topologies and equal
+//! parameters share a fingerprint (a topology's name is not part of it), so
+//! a program compiled on one communicator's simulator runs on a process
+//! group's shared simulator over the same machine.
+//!
+//! ## Session remapping
+//!
+//! A session of compiled programs is merged into one layout in the scratch
+//! before the scan. Each program's local resource ids go through a
+//! per-program table built in one pass over the program's *resources*, not
+//! its ops: non-stream resources (links, switch ports, NICs, compute engines)
+//! intern into one session table, so programs contend for them, while each
+//! program's streams get fresh ids, so stream 3 of program A and stream 3 of
+//! program B never serialise. Links are remapped the same way for the
+//! per-link accounting. The ops are then copied with their ids rewritten
+//! through the tables, with no hashing per op, and the merged layout is the
+//! one compiling the plain programs together would give.
+//!
+//! # The persistent candidate window
+//!
+//! The scan picks, among the `CANDIDATES` earliest-ready ops in `(ready
+//! time, op id)` order, the one that can *start* earliest given current
+//! resource occupancy. Those candidates live in a window kept sorted in
+//! `(time, id)` order across iterations; every other ready op waits in a
+//! min-heap. The invariant is that the window is full or the heap is empty,
+//! and every heap entry comes after the window's last entry in `(time, id)`
+//! order. Each iteration removes the chosen op from the window and refills it
+//! with one heap pop; each newly ready op (roots included) is inserted at its
+//! sorted position, and if that overflows the window its last entry is
+//! evicted to the heap (an op that sorts after a full window's last entry
+//! goes straight to the heap). An op therefore costs a few heap operations
+//! and one window scan, not a pop-and-push of the whole candidate set. The
+//! scan also stops at the first candidate whose ready time is at least the
+//! best start found so far plus the `1e-9` tie tolerance: every later
+//! candidate is ready, and so starts, no earlier.
+//!
+//! The schedule is **bit-identical** to the direct implementation
+//! ([`Simulator::run_reference`], kept as the allocating reference the
+//! regression tests compare against). Interning, the link table, compiling
+//! ahead and session remapping only change how a resource's free time or a
+//! link's capacity is looked up, never which resources an op occupies, how
+//! long it runs (the duration formula is shared and evaluated in the same
+//! order), or how ties are broken. The window holds exactly the ops the
+//! reference pops off its heap each iteration, because both are the
+//! `CANDIDATES` smallest ready entries under the same total `(time, id)`
+//! order, and the scan walks them in that order with the same `1e-9` tie
+//! rule, so it picks the same op. Stopping the scan early skips only
+//! candidates that cannot win: a ready time is never NaN (issue timestamps
+//! are checked finite, and every other ready time is an `f64::max` of op
+//! ends starting from `0.0`, which ignores NaN), so a candidate's start, the
+//! `max` of its ready time and its resources' free times, is never below its
+//! ready time.
 //!
 //! # Streaming sessions: the admission / contention / determinism contract
 //!
@@ -94,28 +134,36 @@
 //!   [`Simulator::run_with_scratch`] on that program; the single-program
 //!   entry points are in fact thin wrappers over the session core, and the
 //!   regression tests pin the equivalence.
-//! * **Borrowed programs.** The session core itself is public as
-//!   [`Simulator::run_session`], over `(&Program, issue_us)` entries: a
-//!   caller that keeps its programs (a communicator reusing the programs it
-//!   lowered) schedules them in place, and [`Session`] is the owning
-//!   front-end over the same scheduler.
+//! * **Borrowed and compiled programs.** The session core itself is public
+//!   as [`Simulator::run_session`], over `(&Program, issue_us)` entries, and
+//!   as [`Simulator::run_compiled_session`], over `(&CompiledProgram,
+//!   issue_us)` entries: a caller that keeps its programs (a communicator
+//!   reusing the programs it lowered and compiled) schedules them in place,
+//!   and [`Session`] is the owning front-end over the same scheduler. Both
+//!   forms give the same report for the same programs.
 //!
 //! # The scratch-reuse contract
 //!
 //! [`EngineScratch`] obeys the same rules as `blink-graph`'s planning
 //! scratches: it is a buffer, not state (any run through an arbitrarily
 //! dirty scratch returns a report bit-identical to a fresh-scratch run — the
-//! prepass rewrites every entry it will read), it grows to the largest
-//! program seen and never shrinks, one scratch may be threaded through runs
-//! over different programs and topologies in any order, and it is `Send`
-//! (asserted at compile time below) so per-worker pools can move scratches
-//! across threads — but never share one mutably between concurrent runs.
+//! compile and the scan rewrite every entry they will read), it grows to the
+//! largest program seen and never shrinks, one scratch may be threaded
+//! through runs over different programs, compiled programs and topologies in
+//! any order, and it is `Send` (asserted at compile time below) so
+//! per-worker pools can move scratches across threads — but never share one
+//! mutably between concurrent runs. A [`CompiledProgram`] is immutable once
+//! built: any number of runs may replay it, interleaved with other programs,
+//! through one scratch or many.
 
 use crate::params::SimParams;
 use crate::program::{LinkClass, OpKind, Program, StreamId};
 use blink_topology::{GpuId, LinkKind, ServerId, Topology};
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::sync::OnceLock;
 
 /// Errors raised while executing a program.
 #[derive(Debug, Clone, PartialEq)]
@@ -133,6 +181,9 @@ pub enum SimError {
     UnknownGpu(GpuId),
     /// The program failed validation.
     InvalidProgram(String),
+    /// A [`CompiledProgram`] was run on a simulator with another topology or
+    /// other parameters than the one that compiled it.
+    ForeignCompilation,
 }
 
 impl fmt::Display for SimError {
@@ -143,6 +194,10 @@ impl fmt::Display for SimError {
             }
             SimError::UnknownGpu(g) => write!(f, "GPU {g} is not in the topology"),
             SimError::InvalidProgram(msg) => write!(f, "invalid program: {msg}"),
+            SimError::ForeignCompilation => write!(
+                f,
+                "the program was compiled for another topology or other simulator parameters"
+            ),
         }
     }
 }
@@ -237,6 +292,19 @@ pub struct SessionReport {
     pub link_bytes: BTreeMap<(GpuId, GpuId, LinkClass), u64>,
 }
 
+impl SessionReport {
+    /// The report of a one-program session, as a single-program report.
+    fn into_run_report(mut self) -> RunReport {
+        let prog = self.programs.pop().expect("exactly one admitted program");
+        RunReport {
+            total_us: self.total_us,
+            op_spans: prog.op_spans,
+            link_busy_us: self.link_busy_us,
+            link_bytes: self.link_bytes,
+        }
+    }
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 enum Resource {
     Link(GpuId, GpuId, u8),
@@ -298,56 +366,116 @@ impl Ready {
 /// independent flows (e.g. the 16x15 one-hop pattern on a DGX-2) tightly.
 const CANDIDATES: usize = 128;
 
-/// Sentinel for "op occupies no link" in the prepass link table.
+/// Sentinel for "op occupies no link" in the per-op link table, and for "no
+/// same-stream predecessor" while compiling.
 const NO_LINK: u32 = u32::MAX;
 
-/// Reusable buffers for [`Simulator::run_with_scratch`]: the resource intern
-/// table, the per-link table, the per-op resource-id and children CSRs, flat
-/// free-time and link-accounting arrays, and the scheduler's candidate window
-/// and heap. See the module docs for the scratch-reuse contract; a fresh
-/// scratch is `Default`-constructible and the struct is `Clone` and `Send`.
+/// The flat form the scan runs: one program's ops, or a whole session's in
+/// admission order, with interned resources and links, precomputed
+/// durations and the dependency CSR.
 #[derive(Debug, Clone, Default)]
-pub struct EngineScratch {
-    /// Resource -> dense id intern table (rebuilt per run; rebuilding a
-    /// `HashMap` reuses its allocation, unlike an ordered map).
-    res_ids: HashMap<Resource, u32>,
-    /// CSR offsets: op `i`'s resource ids live at `op_res[op_res_start[i]..op_res_start[i+1]]`.
+struct Layout {
+    /// Program `p` owns ops `op_base[p]..op_base[p + 1]`.
+    op_base: Vec<u32>,
+    /// CSR: op `i`'s resource ids are `op_res[op_res_start[i]..op_res_start[i + 1]]`.
     op_res_start: Vec<u32>,
     op_res: Vec<u32>,
     /// Precomputed duration per op.
     durations: Vec<f64>,
-    /// Link intern table: the per-link prepass table and the per-link
-    /// busy/bytes accounting are both indexed by interned link id.
-    link_ids: HashMap<(GpuId, GpuId, LinkClass), u32>,
-    links: Vec<(GpuId, GpuId, LinkClass)>,
-    /// Capacity (GB/s) per interned link.
-    link_bw: Vec<f64>,
-    /// CSR offsets: link `l`'s non-stream resource ids (link, switch ports,
-    /// NICs) live at `link_res[link_res_start[l]..link_res_start[l+1]]`.
-    link_res_start: Vec<u32>,
-    link_res: Vec<u32>,
-    /// Interned link id per op (`NO_LINK` for non-copies).
+    /// Interned link per op (`NO_LINK` for non-copies).
     op_link: Vec<u32>,
     /// Payload bytes per op (copies only; 0 otherwise).
     op_bytes: Vec<u64>,
-    /// Free time per interned resource id.
-    resource_free: Vec<f64>,
-    link_busy: Vec<f64>,
-    link_bytes: Vec<u64>,
+    /// Dependencies per op: explicit deps plus the same-stream predecessor.
     indeg: Vec<u32>,
-    /// Implicit same-stream FIFO predecessor (`u32::MAX` = none).
-    extra_dep: Vec<u32>,
-    /// Children CSR (op -> ops whose dependencies include it).
+    /// CSR: op `i`'s dependants are `children[child_start[i]..child_start[i + 1]]`.
     child_start: Vec<u32>,
     children: Vec<u32>,
-    child_cursor: Vec<u32>,
-    ready_time: Vec<f64>,
+    /// Ops without dependencies, ascending.
+    roots: Vec<u32>,
+    /// The resource behind each interned id.
+    resources: Vec<Resource>,
+    /// The directed link behind each interned link id.
+    links: Vec<(GpuId, GpuId, LinkClass)>,
+    /// One more than the largest stream id in use (0 without ops).
+    streams: usize,
+}
+
+impl Layout {
+    fn len(&self) -> usize {
+        self.durations.len()
+    }
+
+    fn clear(&mut self) {
+        self.op_base.clear();
+        self.op_res_start.clear();
+        self.op_res.clear();
+        self.durations.clear();
+        self.op_link.clear();
+        self.op_bytes.clear();
+        self.indeg.clear();
+        self.child_start.clear();
+        self.children.clear();
+        self.roots.clear();
+        self.resources.clear();
+        self.links.clear();
+        self.streams = 0;
+    }
+}
+
+/// The tables compiling and session remapping build and then drop; rebuilt
+/// per use (rebuilding a `HashMap` reuses its allocation).
+#[derive(Debug, Clone, Default)]
+struct Tables {
+    /// Resource -> dense id.
+    res_ids: HashMap<Resource, u32>,
+    /// Link -> dense link id.
+    link_ids: HashMap<(GpuId, GpuId, LinkClass), u32>,
+    /// Capacity (GB/s) per interned link.
+    link_bw: Vec<f64>,
+    /// CSR: link `l`'s non-stream resource ids (link, switch ports, NICs)
+    /// are `link_res[link_res_start[l]..link_res_start[l + 1]]`.
+    link_res_start: Vec<u32>,
+    link_res: Vec<u32>,
+    /// The latest op seen per stream, for the implicit FIFO dependency.
     last_in_stream: HashMap<StreamId, u32>,
+    /// Implicit same-stream FIFO predecessor per op (`NO_LINK` = none).
+    extra_dep: Vec<u32>,
+    child_cursor: Vec<u32>,
+    /// Session remapping: one program's local resource and link ids to the
+    /// session's.
+    res_map: Vec<u32>,
+    link_map: Vec<u32>,
+}
+
+/// What one scan writes: everything that changes while a schedule unfolds.
+#[derive(Debug, Clone, Default)]
+struct ScanState {
+    /// Free time per interned resource id.
+    resource_free: Vec<f64>,
+    ready_time: Vec<f64>,
+    /// Dependencies still outstanding per op.
+    indeg: Vec<u32>,
+    link_busy: Vec<f64>,
+    link_bytes: Vec<u64>,
     /// Ready ops outside the candidate window; each sorts after the
     /// window's last entry.
     heap: BinaryHeap<Ready>,
     /// The `CANDIDATES` earliest-ready ops, sorted in `(time, id)` order.
     window: Vec<Ready>,
+}
+
+/// Reusable engine buffers: the compile tables, the layout plain programs
+/// and merged sessions compile into, and the scan's per-run state (resource
+/// free times, ready times, in-degrees, link accounting, the candidate
+/// window and heap). See the module docs for the scratch-reuse contract; a
+/// fresh scratch is `Default`-constructible and the struct is `Clone` and
+/// `Send`.
+#[derive(Debug, Clone, Default)]
+pub struct EngineScratch {
+    tables: Tables,
+    layout: Layout,
+    state: ScanState,
 }
 
 impl EngineScratch {
@@ -359,10 +487,36 @@ impl EngineScratch {
 
 // The engine mirrors rule 4 of blink-graph's scratch-reuse contract: a
 // scratch must stay `Send` so per-worker pools can carry one into a thread.
+// Compiled programs are shared read-only, so they must also be `Sync`.
 const _: () = {
     const fn assert_send<T: Send>() {}
+    const fn assert_send_sync<T: Send + Sync>() {}
     assert_send::<EngineScratch>();
+    assert_send_sync::<CompiledProgram>();
 };
+
+/// A program compiled for one simulator by [`Simulator::compile`]: validated,
+/// with its resources interned and its durations, dependency CSR, in-degrees,
+/// roots and per-link table precomputed, so a run pays only the scan. It is
+/// stamped with the topology and [`SimParams`] it was compiled for; see the
+/// module docs for the compile-once/run-many contract.
+#[derive(Debug, Clone)]
+pub struct CompiledProgram {
+    stamp: u64,
+    layout: Layout,
+}
+
+impl CompiledProgram {
+    /// Number of ops.
+    pub fn len(&self) -> usize {
+        self.layout.len()
+    }
+
+    /// Whether the program has no ops.
+    pub fn is_empty(&self) -> bool {
+        self.layout.len() == 0
+    }
+}
 
 /// Removes the window's `idx`-th candidate and refills the window with one
 /// heap pop, which keeps the window invariant: the heap's minimum sorts
@@ -391,17 +545,264 @@ fn admit_ready(window: &mut Vec<Ready>, heap: &mut BinaryHeap<Ready>, ready: Rea
     window.insert(pos, ready);
 }
 
+fn validate(program: &Program) -> Result<(), SimError> {
+    program
+        .validate()
+        .map_err(|e| SimError::InvalidProgram(e.to_string()))
+}
+
+fn check_issue(issue: f64) -> Result<(), SimError> {
+    if !issue.is_finite() || issue < 0.0 {
+        return Err(SimError::InvalidProgram(format!(
+            "issue timestamp {issue} must be finite and non-negative"
+        )));
+    }
+    Ok(())
+}
+
+/// Merges compiled programs into one session layout (see "Session
+/// remapping" in the module docs): per program, one pass over its resources
+/// and links builds the local-to-session tables, then its ops are copied
+/// with their ids rewritten.
+fn merge_into(parts: &[&Layout], layout: &mut Layout, t: &mut Tables) {
+    layout.clear();
+    t.res_ids.clear();
+    t.link_ids.clear();
+    for src in parts {
+        let op0 = layout.len() as u32;
+        let child0 = layout.children.len() as u32;
+        let res0 = layout.op_res.len() as u32;
+        layout.op_base.push(op0);
+        t.res_map.clear();
+        for &r in &src.resources {
+            let next = layout.resources.len() as u32;
+            let id = match r {
+                Resource::Stream(s) => {
+                    layout
+                        .resources
+                        .push(Resource::Stream(StreamId(layout.streams + s.0)));
+                    next
+                }
+                shared => {
+                    let resources = &mut layout.resources;
+                    *t.res_ids.entry(shared).or_insert_with(|| {
+                        resources.push(shared);
+                        next
+                    })
+                }
+            };
+            t.res_map.push(id);
+        }
+        layout.streams += src.streams;
+        t.link_map.clear();
+        for &key in &src.links {
+            let next = layout.links.len() as u32;
+            let id = *t.link_ids.entry(key).or_insert(next);
+            if id == next {
+                layout.links.push(key);
+            }
+            t.link_map.push(id);
+        }
+        let n = src.len();
+        let res_map = &t.res_map;
+        let link_map = &t.link_map;
+        layout
+            .op_res_start
+            .extend(src.op_res_start[..n].iter().map(|&o| res0 + o));
+        layout
+            .op_res
+            .extend(src.op_res.iter().map(|&r| res_map[r as usize]));
+        layout.durations.extend_from_slice(&src.durations);
+        layout.op_link.extend(src.op_link.iter().map(|&l| {
+            if l == NO_LINK {
+                NO_LINK
+            } else {
+                link_map[l as usize]
+            }
+        }));
+        layout.op_bytes.extend_from_slice(&src.op_bytes);
+        layout.indeg.extend_from_slice(&src.indeg);
+        layout
+            .child_start
+            .extend(src.child_start[..n].iter().map(|&c| child0 + c));
+        layout
+            .children
+            .extend(src.children.iter().map(|&c| op0 + c));
+        layout.roots.extend(src.roots.iter().map(|&r| op0 + r));
+    }
+    layout.op_base.push(layout.len() as u32);
+    layout.op_res_start.push(layout.op_res.len() as u32);
+    layout.child_start.push(layout.children.len() as u32);
+}
+
+/// The scheduler behind every entry point: list-schedules every op of
+/// `layout` over the per-run state in `st`, program `p`'s roots becoming
+/// ready at `issues[p]`. Reads `layout` only.
+fn scan(layout: &Layout, issues: &[f64], st: &mut ScanState) -> Result<SessionReport, SimError> {
+    debug_assert_eq!(issues.len() + 1, layout.op_base.len());
+    let n = layout.len();
+    st.resource_free.clear();
+    st.resource_free.resize(layout.resources.len(), 0.0);
+    st.link_busy.clear();
+    st.link_busy.resize(layout.links.len(), 0.0);
+    st.link_bytes.clear();
+    st.link_bytes.resize(layout.links.len(), 0);
+    st.ready_time.clear();
+    st.ready_time.resize(n, 0.0);
+    st.indeg.clear();
+    st.indeg.extend_from_slice(&layout.indeg);
+    st.heap.clear();
+    st.window.clear();
+    // Roots become ready at their program's issue timestamp; every other op
+    // inherits `>= issue` transitively through its deps.
+    let mut p = 0usize;
+    for &root in &layout.roots {
+        while root >= layout.op_base[p + 1] {
+            p += 1;
+        }
+        let ready = Ready {
+            time: issues[p],
+            id: root as usize,
+        };
+        admit_ready(&mut st.window, &mut st.heap, ready);
+    }
+
+    let mut op_spans = vec![(0.0, 0.0); n];
+    let mut total = 0.0f64;
+    let mut done = 0usize;
+
+    // ---- the zero-allocation scan over the persistent window ----
+    while !st.window.is_empty() {
+        let mut best_idx = 0usize;
+        let mut best_start = f64::INFINITY;
+        let mut best_key = usize::MAX;
+        for (idx, cand) in st.window.iter().enumerate() {
+            // A candidate starts no earlier than it is ready, and the
+            // window is sorted by ready time: from here on no candidate
+            // can beat `best_start`, even on the tie rule.
+            if cand.time >= best_start + 1e-9 {
+                break;
+            }
+            let (lo, hi) = (
+                layout.op_res_start[cand.id] as usize,
+                layout.op_res_start[cand.id + 1] as usize,
+            );
+            let mut start = cand.time;
+            for &r in &layout.op_res[lo..hi] {
+                start = start.max(st.resource_free[r as usize]);
+            }
+            if start < best_start - 1e-9 || (start < best_start + 1e-9 && cand.id < best_key) {
+                best_start = start;
+                best_idx = idx;
+                best_key = cand.id;
+            }
+        }
+        let Ready { time, id } = take_candidate(&mut st.window, &mut st.heap, best_idx);
+        let duration = layout.durations[id];
+        let (lo, hi) = (
+            layout.op_res_start[id] as usize,
+            layout.op_res_start[id + 1] as usize,
+        );
+        let mut start = time;
+        for &r in &layout.op_res[lo..hi] {
+            start = start.max(st.resource_free[r as usize]);
+        }
+        let end = start + duration;
+        for &r in &layout.op_res[lo..hi] {
+            st.resource_free[r as usize] = end;
+        }
+        op_spans[id] = (start, end);
+        total = total.max(end);
+        if layout.op_link[id] != NO_LINK {
+            let l = layout.op_link[id] as usize;
+            st.link_busy[l] += duration;
+            st.link_bytes[l] += layout.op_bytes[id];
+        }
+        done += 1;
+        let (clo, chi) = (
+            layout.child_start[id] as usize,
+            layout.child_start[id + 1] as usize,
+        );
+        for &c in &layout.children[clo..chi] {
+            let c = c as usize;
+            st.ready_time[c] = st.ready_time[c].max(end);
+            st.indeg[c] -= 1;
+            if st.indeg[c] == 0 {
+                let ready = Ready {
+                    time: st.ready_time[c],
+                    id: c,
+                };
+                admit_ready(&mut st.window, &mut st.heap, ready);
+            }
+        }
+    }
+
+    if done != n {
+        return Err(SimError::InvalidProgram(
+            "dependency cycle: not every op became ready".to_string(),
+        ));
+    }
+
+    let link_busy_us = layout
+        .links
+        .iter()
+        .copied()
+        .zip(st.link_busy.iter().copied())
+        .collect();
+    let link_bytes = layout
+        .links
+        .iter()
+        .copied()
+        .zip(st.link_bytes.iter().copied())
+        .collect();
+    let mut programs = Vec::with_capacity(issues.len());
+    for (p, &issue) in issues.iter().enumerate() {
+        let (lo, hi) = (layout.op_base[p] as usize, layout.op_base[p + 1] as usize);
+        let (mut start, mut end) = (issue, issue);
+        for (k, &(s0, e0)) in op_spans[lo..hi].iter().enumerate() {
+            start = if k == 0 { s0 } else { start.min(s0) };
+            end = end.max(e0);
+        }
+        total = total.max(end);
+        // a lone program takes the span buffer instead of copying it
+        let spans = if issues.len() == 1 {
+            std::mem::take(&mut op_spans)
+        } else {
+            op_spans[lo..hi].to_vec()
+        };
+        programs.push(ProgramSpan {
+            issue_us: issue,
+            start_us: start,
+            end_us: end,
+            op_spans: spans,
+        });
+    }
+    Ok(SessionReport {
+        total_us: total,
+        programs,
+        link_busy_us,
+        link_bytes,
+    })
+}
+
 /// Executes [`Program`]s against a [`Topology`] with given [`SimParams`].
 #[derive(Debug, Clone)]
 pub struct Simulator {
     topology: Topology,
     params: SimParams,
+    /// Fingerprint of `topology` and `params` that compiled programs are
+    /// stamped with; computed on first use.
+    stamp: OnceLock<u64>,
 }
 
 impl Simulator {
     /// Creates a simulator for `topology` with `params`.
     pub fn new(topology: Topology, params: SimParams) -> Self {
-        Simulator { topology, params }
+        Simulator {
+            topology,
+            params,
+            stamp: OnceLock::new(),
+        }
     }
 
     /// Creates a simulator with default calibration parameters.
@@ -417,6 +818,45 @@ impl Simulator {
     /// The calibration parameters.
     pub fn params(&self) -> &SimParams {
         &self.params
+    }
+
+    /// The fingerprint compiled programs are stamped with: everything about
+    /// the topology and parameters that a compiled program bakes in (GPUs,
+    /// servers, links, switch-port caps, NICs and every parameter), not the
+    /// topology's name.
+    fn stamp(&self) -> u64 {
+        *self.stamp.get_or_init(|| {
+            let mut h = DefaultHasher::new();
+            let t = &self.topology;
+            for g in t.gpus() {
+                (g.id, g.server, t.gpu_cap(g.id).map(f64::to_bits)).hash(&mut h);
+            }
+            for s in t.servers() {
+                (s, t.server_nic(s).map(f64::to_bits)).hash(&mut h);
+            }
+            for l in t.links() {
+                (l.src, l.dst, l.kind, l.lanes, l.bandwidth_gbps.to_bits()).hash(&mut h);
+            }
+            let SimParams {
+                op_launch_overhead_us,
+                reduce_bandwidth_gbps,
+                dpa_per_gpu_us,
+                link_latency_us,
+                network_latency_us,
+                per_segment_overhead_us,
+            } = self.params;
+            for x in [
+                op_launch_overhead_us,
+                reduce_bandwidth_gbps,
+                dpa_per_gpu_us,
+                link_latency_us,
+                network_latency_us,
+                per_segment_overhead_us,
+            ] {
+                x.to_bits().hash(&mut h);
+            }
+            h.finish()
+        })
     }
 
     /// The capacity of the `(src, dst, class)` link, or
@@ -466,7 +906,7 @@ impl Simulator {
     }
 
     /// The one definition of which hardware resources an op occupies, shared
-    /// by the allocating reference path and the interning prepass.
+    /// by the allocating reference path and the compiler.
     fn for_each_resource(
         &self,
         kind: &OpKind,
@@ -497,7 +937,7 @@ impl Simulator {
     /// The non-stream resources a copy over `(src, dst, class)` occupies: the
     /// directed link, plus the NVSwitch ports or server NICs where the
     /// topology declares them. Depends only on the link, which is what lets
-    /// the prepass resolve it once per interned link.
+    /// the compiler resolve it once per interned link.
     fn for_each_link_resource(
         &self,
         src: GpuId,
@@ -547,10 +987,172 @@ impl Simulator {
         Ok(res)
     }
 
+    /// The compile step every entry point shares: lowers already validated
+    /// `programs` (one, or a session's in admission order) into `layout`,
+    /// namespacing streams per program.
+    fn compile_into(
+        &self,
+        programs: &[&Program],
+        layout: &mut Layout,
+        t: &mut Tables,
+    ) -> Result<(), SimError> {
+        let n: usize = programs.iter().map(|p| p.len()).sum();
+        layout.clear();
+        layout.op_res_start.reserve(n + 1);
+        layout.durations.reserve(n);
+        layout.op_link.reserve(n);
+        layout.op_bytes.reserve(n);
+        t.res_ids.clear();
+        t.link_ids.clear();
+        t.link_bw.clear();
+        t.link_res.clear();
+        t.link_res_start.clear();
+        t.link_res_start.push(0);
+        t.last_in_stream.clear();
+        t.extra_dep.clear();
+        t.extra_dep.resize(n, NO_LINK);
+
+        // ---- durations, interned per-op resource lists (CSR),
+        //      per-program stream namespacing, same-stream FIFO deps ----
+        let mut g = 0usize;
+        for program in programs {
+            layout.op_base.push(g as u32);
+            // Namespace streams per program so two programs' stream 0
+            // never FIFO-serialise against each other.
+            let stream_base = layout.streams;
+            for op in program.ops() {
+                layout.op_res_start.push(layout.op_res.len() as u32);
+                let stream = StreamId(stream_base + op.stream.0);
+                layout.streams = layout.streams.max(stream.0 + 1);
+                let res_ids = &mut t.res_ids;
+                let resources = &mut layout.resources;
+                let mut intern = |r: Resource| {
+                    let next = res_ids.len() as u32;
+                    *res_ids.entry(r).or_insert_with(|| {
+                        resources.push(r);
+                        next
+                    })
+                };
+                if let OpKind::Copy {
+                    src, dst, class, ..
+                } = op.kind
+                {
+                    // The per-link table: capacity and non-stream resource
+                    // ids are resolved on a link's first copy only.
+                    let next = layout.links.len() as u32;
+                    let l = *t.link_ids.entry((src, dst, class)).or_insert(next);
+                    if l == next {
+                        layout.links.push((src, dst, class));
+                        t.link_bw.push(self.link_capacity(src, dst, class)?);
+                        let link_res = &mut t.link_res;
+                        self.for_each_link_resource(src, dst, class, |r| link_res.push(intern(r)))?;
+                        t.link_res_start.push(t.link_res.len() as u32);
+                    }
+                    let l = l as usize;
+                    layout
+                        .durations
+                        .push(self.copy_duration(&op.kind, class, t.link_bw[l]));
+                    layout.op_res.push(intern(Resource::Stream(stream)));
+                    let (lo, hi) = (
+                        t.link_res_start[l] as usize,
+                        t.link_res_start[l + 1] as usize,
+                    );
+                    layout.op_res.extend_from_slice(&t.link_res[lo..hi]);
+                    layout.op_link.push(l as u32);
+                    layout.op_bytes.push(op.kind.payload_bytes());
+                } else {
+                    layout.durations.push(self.op_duration(&op.kind)?);
+                    let op_res = &mut layout.op_res;
+                    self.for_each_resource(&op.kind, stream, |r| op_res.push(intern(r)))?;
+                    layout.op_link.push(NO_LINK);
+                    layout.op_bytes.push(0);
+                }
+                if let Some(&prev) = t.last_in_stream.get(&stream) {
+                    t.extra_dep[g] = prev;
+                }
+                t.last_in_stream.insert(stream, g as u32);
+                g += 1;
+            }
+        }
+        layout.op_base.push(g as u32);
+        layout.op_res_start.push(layout.op_res.len() as u32);
+
+        // ---- dependency bookkeeping: in-degrees, children CSR, roots ----
+        layout.indeg.resize(n, 0);
+        layout.child_start.resize(n + 1, 0);
+        for (p, program) in programs.iter().enumerate() {
+            let base = layout.op_base[p] as usize;
+            for (i, op) in program.ops().iter().enumerate() {
+                let gi = base + i;
+                for &d in &op.deps {
+                    layout.indeg[gi] += 1;
+                    layout.child_start[base + d.0 + 1] += 1;
+                }
+                if t.extra_dep[gi] != NO_LINK {
+                    layout.indeg[gi] += 1;
+                    layout.child_start[t.extra_dep[gi] as usize + 1] += 1;
+                }
+            }
+        }
+        for k in 1..=n {
+            layout.child_start[k] += layout.child_start[k - 1];
+        }
+        layout.children.resize(layout.child_start[n] as usize, 0);
+        t.child_cursor.clear();
+        t.child_cursor.extend_from_slice(&layout.child_start[..n]);
+        for (p, program) in programs.iter().enumerate() {
+            let base = layout.op_base[p] as usize;
+            for (i, op) in program.ops().iter().enumerate() {
+                let gi = base + i;
+                for &d in &op.deps {
+                    let c = &mut t.child_cursor[base + d.0];
+                    layout.children[*c as usize] = gi as u32;
+                    *c += 1;
+                }
+                if t.extra_dep[gi] != NO_LINK {
+                    let c = &mut t.child_cursor[t.extra_dep[gi] as usize];
+                    layout.children[*c as usize] = gi as u32;
+                    *c += 1;
+                }
+            }
+        }
+        layout
+            .roots
+            .extend((0..n as u32).filter(|&i| layout.indeg[i as usize] == 0));
+        Ok(())
+    }
+
+    /// Compiles `program` for this simulator: validates it and precomputes
+    /// everything a run would otherwise redo (see the module docs). Run the
+    /// result with [`Simulator::run_compiled`] or
+    /// [`Simulator::run_compiled_session`] on this simulator, or on any
+    /// simulator over an equal topology with equal parameters.
+    ///
+    /// # Errors
+    /// Same conditions as [`Simulator::run`].
+    pub fn compile(&self, program: &Program) -> Result<CompiledProgram, SimError> {
+        validate(program)?;
+        let mut layout = Layout::default();
+        self.compile_into(&[program], &mut layout, &mut Tables::default())?;
+        Ok(CompiledProgram {
+            stamp: self.stamp(),
+            layout,
+        })
+    }
+
+    fn check_stamp(&self, compiled: &CompiledProgram) -> Result<(), SimError> {
+        if compiled.stamp == self.stamp() {
+            Ok(())
+        } else {
+            Err(SimError::ForeignCompilation)
+        }
+    }
+
     /// Runs `program` and reports timings, allocating a fresh
     /// [`EngineScratch`] for the call. Loops that simulate many programs
     /// should hold a scratch and call [`Simulator::run_with_scratch`]
-    /// instead.
+    /// instead, and loops that run one program many times should compile it
+    /// once and call [`Simulator::run_compiled`].
     ///
     /// # Errors
     /// Fails if the program is structurally invalid, references GPUs outside
@@ -560,10 +1162,10 @@ impl Simulator {
         self.run_with_scratch(program, &mut EngineScratch::new())
     }
 
-    /// Runs `program` over reusable `scratch` buffers: an interning prepass
-    /// plus a flat-array candidate scan with no per-iteration allocation.
-    /// The returned report is bit-identical to [`Simulator::run_reference`]
-    /// on the same program (pinned by regression tests).
+    /// Runs `program` over reusable `scratch` buffers: compiles it into the
+    /// scratch, then scans it. The returned report is bit-identical to
+    /// [`Simulator::run_reference`] on the same program (pinned by
+    /// regression tests).
     ///
     /// This is a thin wrapper over the session core: a one-program session
     /// admitted at `t = 0` (see the module docs for the contract that makes
@@ -576,17 +1178,26 @@ impl Simulator {
         program: &Program,
         scratch: &mut EngineScratch,
     ) -> Result<RunReport, SimError> {
-        let mut session = self.run_session(&[(program, 0.0)], scratch)?;
-        let prog = session
-            .programs
-            .pop()
-            .expect("exactly one admitted program");
-        Ok(RunReport {
-            total_us: session.total_us,
-            op_spans: prog.op_spans,
-            link_busy_us: session.link_busy_us,
-            link_bytes: session.link_bytes,
-        })
+        Ok(self
+            .run_session(&[(program, 0.0)], scratch)?
+            .into_run_report())
+    }
+
+    /// Replays a program compiled by [`Simulator::compile`]: only the scan
+    /// runs. The report is bit-identical to [`Simulator::run_with_scratch`]
+    /// (and so to [`Simulator::run_reference`]) on the program it was
+    /// compiled from.
+    ///
+    /// # Errors
+    /// [`SimError::ForeignCompilation`] if `compiled` was compiled for
+    /// another topology or other parameters.
+    pub fn run_compiled(
+        &self,
+        compiled: &CompiledProgram,
+        scratch: &mut EngineScratch,
+    ) -> Result<RunReport, SimError> {
+        self.check_stamp(compiled)?;
+        Ok(scan(&compiled.layout, &[0.0], &mut scratch.state)?.into_run_report())
     }
 
     /// The session core: schedules every op of every `(program, issue_us)`
@@ -597,9 +1208,10 @@ impl Simulator {
     /// [`Session::run_with_scratch`] calls this over references to its
     /// admitted programs, so every entry point shares one scheduler.
     ///
-    /// Callers that already hold their programs elsewhere (a communicator's
-    /// memoised lowerings) schedule them here by reference instead of
-    /// cloning each into [`Session::admit`]. `programs[i]` of the report
+    /// Callers that already hold their programs elsewhere schedule them here
+    /// by reference instead of cloning each into [`Session::admit`], and
+    /// callers that hold them compiled use
+    /// [`Simulator::run_compiled_session`]. `programs[i]` of the report
     /// belongs to `entries[i]`.
     ///
     /// # Errors
@@ -609,267 +1221,49 @@ impl Simulator {
         entries: &[(&Program, f64)],
         scratch: &mut EngineScratch,
     ) -> Result<SessionReport, SimError> {
-        for (program, issue) in entries {
-            program
-                .validate()
-                .map_err(|e| SimError::InvalidProgram(e.to_string()))?;
-            if !issue.is_finite() || *issue < 0.0 {
-                return Err(SimError::InvalidProgram(format!(
-                    "issue timestamp {issue} must be finite and non-negative"
-                )));
-            }
+        for &(program, issue) in entries {
+            validate(program)?;
+            check_issue(issue)?;
         }
-        let n: usize = entries.iter().map(|(p, _)| p.len()).sum();
-        // Global op id = op_base[program index] + local op id; the scan's
-        // tie-break on global id is what makes admission order part of the
-        // determinism contract.
-        let mut op_base: Vec<usize> = Vec::with_capacity(entries.len() + 1);
-        let s = scratch;
+        let programs: Vec<&Program> = entries.iter().map(|e| e.0).collect();
+        let issues: Vec<f64> = entries.iter().map(|e| e.1).collect();
+        let EngineScratch {
+            tables,
+            layout,
+            state,
+        } = scratch;
+        self.compile_into(&programs, layout, tables)?;
+        scan(layout, &issues, state)
+    }
 
-        // ---- prepass: durations, interned per-op resource lists (CSR),
-        //      per-program stream namespacing, same-stream FIFO deps ----
-        s.res_ids.clear();
-        s.link_ids.clear();
-        s.links.clear();
-        s.link_bw.clear();
-        s.link_res.clear();
-        s.link_res_start.clear();
-        s.link_res_start.push(0);
-        s.op_res.clear();
-        s.op_res_start.clear();
-        s.durations.clear();
-        s.op_link.clear();
-        s.op_bytes.clear();
-        s.extra_dep.clear();
-        s.extra_dep.resize(n, u32::MAX);
-        s.last_in_stream.clear();
-        let mut stream_base = 0usize;
-        let mut g = 0usize;
-        for (program, _) in entries {
-            op_base.push(g);
-            let mut max_stream: Option<usize> = None;
-            for op in program.ops() {
-                s.op_res_start.push(s.op_res.len() as u32);
-                // Namespace streams per program so two programs' stream 0
-                // never FIFO-serialise against each other.
-                let stream = StreamId(stream_base + op.stream.0);
-                max_stream = Some(max_stream.map_or(op.stream.0, |m| m.max(op.stream.0)));
-                let res_ids = &mut s.res_ids;
-                let mut intern = |r: Resource| {
-                    let next = res_ids.len() as u32;
-                    *res_ids.entry(r).or_insert(next)
-                };
-                if let OpKind::Copy {
-                    src, dst, class, ..
-                } = op.kind
-                {
-                    // The per-link table: capacity and non-stream resource
-                    // ids are resolved on a link's first copy only.
-                    let next = s.links.len() as u32;
-                    let l = *s.link_ids.entry((src, dst, class)).or_insert(next);
-                    if l == next {
-                        s.links.push((src, dst, class));
-                        s.link_bw.push(self.link_capacity(src, dst, class)?);
-                        let link_res = &mut s.link_res;
-                        self.for_each_link_resource(src, dst, class, |r| link_res.push(intern(r)))?;
-                        s.link_res_start.push(s.link_res.len() as u32);
-                    }
-                    let l = l as usize;
-                    s.durations
-                        .push(self.copy_duration(&op.kind, class, s.link_bw[l]));
-                    s.op_res.push(intern(Resource::Stream(stream)));
-                    let (lo, hi) = (
-                        s.link_res_start[l] as usize,
-                        s.link_res_start[l + 1] as usize,
-                    );
-                    s.op_res.extend_from_slice(&s.link_res[lo..hi]);
-                    s.op_link.push(l as u32);
-                    s.op_bytes.push(op.kind.payload_bytes());
-                } else {
-                    s.durations.push(self.op_duration(&op.kind)?);
-                    let op_res = &mut s.op_res;
-                    self.for_each_resource(&op.kind, stream, |r| op_res.push(intern(r)))?;
-                    s.op_link.push(NO_LINK);
-                    s.op_bytes.push(0);
-                }
-                if let Some(&prev) = s.last_in_stream.get(&stream) {
-                    s.extra_dep[g] = prev;
-                }
-                s.last_in_stream.insert(stream, g as u32);
-                g += 1;
-            }
-            stream_base += max_stream.map_or(0, |m| m + 1);
+    /// [`Simulator::run_session`] over compiled programs: the programs'
+    /// layouts are remapped into one session layout (see "Session
+    /// remapping" in the module docs) and scanned, with no validation or
+    /// per-op hashing. The report is bit-identical to
+    /// [`Simulator::run_session`] over the programs they were compiled from.
+    ///
+    /// # Errors
+    /// [`SimError::ForeignCompilation`] if any entry was compiled for another
+    /// topology or other parameters, or an issue timestamp is negative, NaN
+    /// or infinite.
+    pub fn run_compiled_session(
+        &self,
+        entries: &[(&CompiledProgram, f64)],
+        scratch: &mut EngineScratch,
+    ) -> Result<SessionReport, SimError> {
+        for &(compiled, issue) in entries {
+            self.check_stamp(compiled)?;
+            check_issue(issue)?;
         }
-        op_base.push(g);
-        s.op_res_start.push(s.op_res.len() as u32);
-
-        // ---- dependency bookkeeping: in-degrees + children CSR ----
-        s.indeg.clear();
-        s.indeg.resize(n, 0);
-        s.child_start.clear();
-        s.child_start.resize(n + 1, 0);
-        for (p_idx, (program, _)) in entries.iter().enumerate() {
-            let base = op_base[p_idx];
-            for (i, op) in program.ops().iter().enumerate() {
-                let gi = base + i;
-                for &d in &op.deps {
-                    s.indeg[gi] += 1;
-                    s.child_start[base + d.0 + 1] += 1;
-                }
-                if s.extra_dep[gi] != u32::MAX {
-                    s.indeg[gi] += 1;
-                    s.child_start[s.extra_dep[gi] as usize + 1] += 1;
-                }
-            }
-        }
-        for k in 1..=n {
-            s.child_start[k] += s.child_start[k - 1];
-        }
-        s.children.clear();
-        s.children.resize(s.child_start[n] as usize, 0);
-        s.child_cursor.clear();
-        s.child_cursor.extend_from_slice(&s.child_start[..n]);
-        for (p_idx, (program, _)) in entries.iter().enumerate() {
-            let base = op_base[p_idx];
-            for (i, op) in program.ops().iter().enumerate() {
-                let gi = base + i;
-                for &d in &op.deps {
-                    let c = &mut s.child_cursor[base + d.0];
-                    s.children[*c as usize] = gi as u32;
-                    *c += 1;
-                }
-                if s.extra_dep[gi] != u32::MAX {
-                    let c = &mut s.child_cursor[s.extra_dep[gi] as usize];
-                    s.children[*c as usize] = gi as u32;
-                    *c += 1;
-                }
-            }
-        }
-
-        // ---- flat state arrays ----
-        s.resource_free.clear();
-        s.resource_free.resize(s.res_ids.len(), 0.0);
-        s.link_busy.clear();
-        s.link_busy.resize(s.links.len(), 0.0);
-        s.link_bytes.clear();
-        s.link_bytes.resize(s.links.len(), 0);
-        s.ready_time.clear();
-        s.ready_time.resize(n, 0.0);
-        s.heap.clear();
-        s.window.clear();
-        for (p_idx, (_, issue)) in entries.iter().enumerate() {
-            // Roots become ready at their program's issue timestamp; every
-            // other op inherits `>= issue` transitively through its deps.
-            for gi in op_base[p_idx]..op_base[p_idx + 1] {
-                if s.indeg[gi] == 0 {
-                    let root = Ready {
-                        time: *issue,
-                        id: gi,
-                    };
-                    admit_ready(&mut s.window, &mut s.heap, root);
-                }
-            }
-        }
-
-        let mut op_spans = vec![(0.0, 0.0); n];
-        let mut total = 0.0f64;
-        let mut done = 0usize;
-
-        // ---- the zero-allocation scan over the persistent window ----
-        while !s.window.is_empty() {
-            let mut best_idx = 0usize;
-            let mut best_start = f64::INFINITY;
-            let mut best_key = usize::MAX;
-            for (idx, cand) in s.window.iter().enumerate() {
-                // A candidate starts no earlier than it is ready, and the
-                // window is sorted by ready time: from here on no candidate
-                // can beat `best_start`, even on the tie rule.
-                if cand.time >= best_start + 1e-9 {
-                    break;
-                }
-                let (lo, hi) = (
-                    s.op_res_start[cand.id] as usize,
-                    s.op_res_start[cand.id + 1] as usize,
-                );
-                let mut start = cand.time;
-                for &r in &s.op_res[lo..hi] {
-                    start = start.max(s.resource_free[r as usize]);
-                }
-                if start < best_start - 1e-9 || (start < best_start + 1e-9 && cand.id < best_key) {
-                    best_start = start;
-                    best_idx = idx;
-                    best_key = cand.id;
-                }
-            }
-            let Ready { time, id } = take_candidate(&mut s.window, &mut s.heap, best_idx);
-            let duration = s.durations[id];
-            let (lo, hi) = (s.op_res_start[id] as usize, s.op_res_start[id + 1] as usize);
-            let mut start = time;
-            for &r in &s.op_res[lo..hi] {
-                start = start.max(s.resource_free[r as usize]);
-            }
-            let end = start + duration;
-            for &r in &s.op_res[lo..hi] {
-                s.resource_free[r as usize] = end;
-            }
-            op_spans[id] = (start, end);
-            total = total.max(end);
-            if s.op_link[id] != NO_LINK {
-                let l = s.op_link[id] as usize;
-                s.link_busy[l] += duration;
-                s.link_bytes[l] += s.op_bytes[id];
-            }
-            done += 1;
-            let (clo, chi) = (s.child_start[id] as usize, s.child_start[id + 1] as usize);
-            for k in clo..chi {
-                let c = s.children[k] as usize;
-                s.ready_time[c] = s.ready_time[c].max(end);
-                s.indeg[c] -= 1;
-                if s.indeg[c] == 0 {
-                    let ready = Ready {
-                        time: s.ready_time[c],
-                        id: c,
-                    };
-                    admit_ready(&mut s.window, &mut s.heap, ready);
-                }
-            }
-        }
-
-        if done != n {
-            return Err(SimError::InvalidProgram(
-                "dependency cycle: not every op became ready".to_string(),
-            ));
-        }
-
-        let mut link_busy = BTreeMap::new();
-        let mut link_bytes = BTreeMap::new();
-        for (i, &key) in s.links.iter().enumerate() {
-            link_busy.insert(key, s.link_busy[i]);
-            link_bytes.insert(key, s.link_bytes[i]);
-        }
-        let mut programs = Vec::with_capacity(entries.len());
-        for (p_idx, (_, issue)) in entries.iter().enumerate() {
-            let (lo, hi) = (op_base[p_idx], op_base[p_idx + 1]);
-            let spans = op_spans[lo..hi].to_vec();
-            let (mut start, mut end) = (*issue, *issue);
-            for (k, &(st, en)) in spans.iter().enumerate() {
-                start = if k == 0 { st } else { start.min(st) };
-                end = end.max(en);
-            }
-            total = total.max(end);
-            programs.push(ProgramSpan {
-                issue_us: *issue,
-                start_us: start,
-                end_us: end,
-                op_spans: spans,
-            });
-        }
-        Ok(SessionReport {
-            total_us: total,
-            programs,
-            link_busy_us: link_busy,
-            link_bytes,
-        })
+        let issues: Vec<f64> = entries.iter().map(|e| e.1).collect();
+        let EngineScratch {
+            tables,
+            layout,
+            state,
+        } = scratch;
+        let parts: Vec<&Layout> = entries.iter().map(|e| &e.0.layout).collect();
+        merge_into(&parts, layout, tables);
+        scan(layout, &issues, state)
     }
 
     /// Creates an empty streaming [`Session`] over this simulator. Admit
@@ -1708,5 +2102,93 @@ mod tests {
                 assert_reports_bit_identical(&dirty, &fresh);
             }
         }
+    }
+
+    #[test]
+    fn compiled_programs_replay_bit_identically_through_a_dirty_scratch() {
+        let (topo, program) = mixed_program();
+        let sim = Simulator::with_defaults(topo);
+        let mut small = ProgramBuilder::new();
+        let s = small.new_stream();
+        small.copy(GpuId(0), GpuId(1), mb(1), LinkClass::NvLink, s, vec![], "");
+        let small = small.build().unwrap();
+        let compiled = sim.compile(&program).unwrap();
+        let small_compiled = sim.compile(&small).unwrap();
+        assert_eq!(compiled.len(), program.len());
+        let reference = sim.run_reference(&program).unwrap();
+        let small_reference = sim.run_reference(&small).unwrap();
+        let mut scratch = EngineScratch::new();
+        for _ in 0..3 {
+            let replay = sim.run_compiled(&compiled, &mut scratch).unwrap();
+            assert_reports_bit_identical(&replay, &reference);
+            let replay = sim.run_compiled(&small_compiled, &mut scratch).unwrap();
+            assert_reports_bit_identical(&replay, &small_reference);
+            sim.run_with_scratch(&program, &mut scratch).unwrap();
+        }
+        // a compiled session equals the plain session over the same programs
+        let mut session = sim.session();
+        session.admit(program.clone(), 3.0);
+        session.admit(small.clone(), 0.0);
+        session.admit(program, 0.5);
+        let plain = session.run().unwrap();
+        let entries = [(&compiled, 3.0), (&small_compiled, 0.0), (&compiled, 0.5)];
+        let remapped = sim.run_compiled_session(&entries, &mut scratch).unwrap();
+        assert_eq!(plain.total_us.to_bits(), remapped.total_us.to_bits());
+        for (a, b) in plain.programs.iter().zip(&remapped.programs) {
+            assert_eq!(a.start_us.to_bits(), b.start_us.to_bits());
+            assert_eq!(a.end_us.to_bits(), b.end_us.to_bits());
+            assert_eq!(format!("{:?}", a.op_spans), format!("{:?}", b.op_spans));
+        }
+        assert_eq!(plain.link_bytes, remapped.link_bytes);
+        assert_eq!(
+            format!("{:?}", plain.link_busy_us),
+            format!("{:?}", remapped.link_busy_us)
+        );
+    }
+
+    #[test]
+    fn a_compiled_program_runs_only_on_the_simulator_it_was_compiled_for() {
+        let (topo, program) = mixed_program();
+        let sim = Simulator::with_defaults(topo.clone());
+        let compiled = sim.compile(&program).unwrap();
+        let mut scratch = EngineScratch::new();
+        // a separately built simulator over an equal machine accepts it
+        let twin = Simulator::with_defaults(topo.clone());
+        let reference = sim.run_reference(&program).unwrap();
+        assert_reports_bit_identical(
+            &twin.run_compiled(&compiled, &mut scratch).unwrap(),
+            &reference,
+        );
+        let other_params = Simulator::new(
+            topo,
+            SimParams {
+                link_latency_us: 2.0,
+                ..SimParams::default()
+            },
+        );
+        let other_topology = Simulator::with_defaults(multi_server(2, ServerKind::Dgx1V, 10.0));
+        for other in [&other_params, &other_topology] {
+            assert_eq!(
+                other.run_compiled(&compiled, &mut scratch).unwrap_err(),
+                SimError::ForeignCompilation
+            );
+            let session = other.run_compiled_session(&[(&compiled, 0.0)], &mut scratch);
+            assert_eq!(session.unwrap_err(), SimError::ForeignCompilation);
+        }
+        // compiling checks what running checks
+        let mut b = ProgramBuilder::new();
+        let s = b.new_stream();
+        b.copy(GpuId(1), GpuId(4), 1024, LinkClass::NvLink, s, vec![], "");
+        let missing = b.build().unwrap();
+        let dgx1 = Simulator::with_defaults(dgx1v());
+        assert!(matches!(
+            dgx1.compile(&missing).unwrap_err(),
+            SimError::MissingLink { .. }
+        ));
+        let bad_issue = sim.run_compiled_session(&[(&compiled, f64::NAN)], &mut scratch);
+        assert!(matches!(
+            bad_issue.unwrap_err(),
+            SimError::InvalidProgram(_)
+        ));
     }
 }

@@ -25,12 +25,16 @@
 //! * [`engine`] — the [`Simulator`](engine::Simulator) executes a program
 //!   against a [`blink_topology::Topology`] using list scheduling over link,
 //!   port, NIC and compute resources and reports per-op timings, total elapsed
-//!   time and per-link utilisation. The scheduler runs an **interned-resource
-//!   fast path**: a prepass interns every resource to a dense id and lays
-//!   per-op resource lists and dependency children out as flat CSR buffers in
-//!   a reusable [`EngineScratch`](engine::EngineScratch), so the candidate
-//!   scan allocates nothing per iteration; timings are bit-identical to the
-//!   preserved reference scheduler
+//!   time and per-link utilisation. Execution is **compiled once, run
+//!   many**: [`Simulator::compile`](engine::Simulator::compile) validates a
+//!   program, interns every resource to a dense id and lays per-op resource
+//!   lists and dependency children out as flat CSR buffers in a
+//!   [`CompiledProgram`](engine::CompiledProgram) stamped with the topology
+//!   and parameters it was compiled for, and the scan replays it over the
+//!   per-run state of a reusable [`EngineScratch`](engine::EngineScratch),
+//!   allocating nothing per iteration (plain-program entry points compile
+//!   into the scratch first); timings are bit-identical to the preserved
+//!   reference scheduler
 //!   ([`Simulator::run_reference`](engine::Simulator::run_reference)). The
 //!   scratch obeys the same buffers-not-state / high-water-mark / `Send`
 //!   contract as `blink-graph`'s planning scratches (see [`engine`]'s module
@@ -68,7 +72,9 @@ pub mod patterns;
 pub mod program;
 pub mod semantics;
 
-pub use engine::{EngineScratch, ProgramSpan, RunReport, Session, SessionReport, Simulator};
+pub use engine::{
+    CompiledProgram, EngineScratch, ProgramSpan, RunReport, Session, SessionReport, Simulator,
+};
 pub use params::SimParams;
 pub use program::{LinkClass, Op, OpId, OpKind, Program, ProgramBuilder, Segment, StreamId};
 pub use semantics::{check_collective, CollectiveSpec, Contributions, ValueCheck, Violation};

@@ -5,7 +5,7 @@
 
 use blink_core::{CollectiveKind, Communicator, CommunicatorOptions};
 use blink_nccl::schedule::{build_program, NcclCollective, ScheduleOptions};
-use blink_nccl::{NcclPlan, NcclPlanner, PlannerOptions};
+use blink_nccl::{NcclPlanner, PlannerOptions};
 use blink_sim::{EngineScratch, SimParams, Simulator};
 use blink_topology::{GpuId, Topology};
 use std::collections::BTreeMap;
@@ -143,18 +143,11 @@ pub struct NcclBackend {
     machine: Topology,
     allocation: Vec<GpuId>,
     sim: Simulator,
-    /// Built once: the planner's ring search is the expensive part, and the
-    /// training loop calls in with a new byte size every bucket/fusion
-    /// configuration.
+    /// Built once: the planner memoises its ring search, the expensive
+    /// part, so re-sizing the collective (the training loop calls in with a
+    /// new byte size every bucket/fusion configuration) re-lowers the
+    /// program but never searches rings again.
     planner: NcclPlanner,
-    /// The planner's tree-vs-ring protocol switch point: an NCCL plan
-    /// depends on `bytes` only through which side of this threshold it
-    /// falls, so the plan tier below needs at most two entries.
-    tree_threshold_bytes: u64,
-    /// Memoised plans per byte regime (`true` = below the tree threshold),
-    /// mirroring `blink-core`'s `PlanCache` role for the baseline: re-sizing
-    /// the collective re-lowers the program but never re-plans.
-    plan_tier: BTreeMap<bool, NcclPlan>,
     /// Persistent engine buffers shared by every simulated run (the same
     /// scratch-reuse contract the Blink communicator relies on).
     scratch: EngineScratch,
@@ -165,34 +158,23 @@ impl NcclBackend {
     /// Creates the backend for an allocation on a machine.
     pub fn new(machine: Topology, allocation: &[GpuId]) -> Self {
         let sim = Simulator::new(machine.clone(), SimParams::default());
-        let options = PlannerOptions::default();
-        let tree_threshold_bytes = options.tree_threshold_bytes;
-        let planner = NcclPlanner::new(machine.clone(), options);
+        let planner = NcclPlanner::new(machine.clone(), PlannerOptions::default());
         NcclBackend {
             machine,
             allocation: allocation.to_vec(),
             sim,
             planner,
-            tree_threshold_bytes,
-            plan_tier: BTreeMap::new(),
             scratch: EngineScratch::new(),
             cache: BTreeMap::new(),
         }
     }
 
     fn single_server_us(&mut self, bytes: u64) -> f64 {
-        let small = bytes < self.tree_threshold_bytes;
-        if !self.plan_tier.contains_key(&small) {
-            match self.planner.plan(&self.allocation, bytes) {
-                Ok(plan) => {
-                    self.plan_tier.insert(small, plan);
-                }
-                Err(_) => return f64::INFINITY,
-            }
-        }
-        let plan = &self.plan_tier[&small];
+        let Ok(plan) = self.planner.plan(&self.allocation, bytes) else {
+            return f64::INFINITY;
+        };
         let Ok(program) = build_program(
-            plan,
+            &plan,
             NcclCollective::AllReduce,
             bytes,
             &ScheduleOptions::default(),
@@ -287,20 +269,16 @@ mod tests {
     }
 
     #[test]
-    fn nccl_plan_tier_replans_per_regime_not_per_size() {
+    fn nccl_timings_match_a_fresh_backend_at_every_size() {
         let alloc: Vec<GpuId> = (0..4).map(GpuId).collect();
-        let mut tiered = NcclBackend::new(dgx1v(), &alloc);
-        // many distinct sizes, one regime: exactly one plan is ever built,
-        // and timings match a fresh backend that re-plans every time
-        for bytes in [mb(1), mb(2), mb(7), mb(32), mb(100)] {
-            let t = tiered.allreduce_us(bytes);
+        let mut reused = NcclBackend::new(dgx1v(), &alloc);
+        // many distinct sizes through one planner's memoised rings time
+        // exactly as a fresh backend that searches rings from scratch
+        for bytes in [mb(1), mb(2), 1024, mb(7), mb(32), mb(100)] {
+            let t = reused.allreduce_us(bytes);
             let fresh = NcclBackend::new(dgx1v(), &alloc).allreduce_us(bytes);
             assert_eq!(t.to_bits(), fresh.to_bits(), "at {bytes} bytes");
         }
-        assert_eq!(tiered.plan_tier.len(), 1);
-        // crossing the tree threshold may add the second (and last) entry
-        tiered.allreduce_us(1024);
-        assert!(tiered.plan_tier.len() <= 2);
     }
 
     #[test]

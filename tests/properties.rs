@@ -857,7 +857,10 @@ proptest! {
     /// schedule programs wider than the window bit-identically to the
     /// reference scheduler — spans, makespan, per-link busy time and bytes —
     /// single programs and staggered multi-program sessions alike, all run
-    /// through one scratch dirtied by the runs before.
+    /// through one scratch dirtied by the runs before. Programs compiled
+    /// once and replayed many times, interleaved with each other and with
+    /// plain runs, and remapped into compiled sessions, stay bit-identical
+    /// too.
     #[test]
     fn wide_programs_and_sessions_match_the_reference(
         seed in any::<u64>(),
@@ -875,6 +878,7 @@ proptest! {
         prop_assert!(roots(&a) > 128 && roots(&b) > 128);
 
         let mut scratch = EngineScratch::new();
+        let compiled = [&a, &b, &c].map(|p| sim.compile(p).unwrap());
         for program in [&a, &b, &c] {
             let reference = sim.run_reference(program).unwrap();
             let fast = sim.run_with_scratch(program, &mut scratch).unwrap();
@@ -893,6 +897,24 @@ proptest! {
             prop_assert!(spans_bit_identical(&one.programs[0].op_spans, &reference.op_spans));
         }
 
+        // compiled once, replayed round-robin through the dirty scratch
+        let references = [&a, &b, &c].map(|p| sim.run_reference(p).unwrap());
+        for _ in 0..3 {
+            for (c, reference) in compiled.iter().zip(&references) {
+                let replay = sim.run_compiled(c, &mut scratch).unwrap();
+                prop_assert_eq!(replay.total_us.to_bits(), reference.total_us.to_bits());
+                prop_assert!(spans_bit_identical(&replay.op_spans, &reference.op_spans));
+                prop_assert!(link_maps_bit_identical(
+                    &replay.link_busy_us,
+                    &reference.link_busy_us,
+                    &replay.link_bytes,
+                    &reference.link_bytes
+                ));
+                let alone = sim.run_compiled_session(&[(c, 0.0)], &mut scratch).unwrap();
+                prop_assert!(spans_bit_identical(&alone.programs[0].op_spans, &reference.op_spans));
+            }
+        }
+
         // a staggered four-program session (one program admitted twice)
         let programs = [&a, &c, &b, &a];
         let issues = [0, stagger, stagger, 2 * stagger];
@@ -902,22 +924,31 @@ proptest! {
         for (program, &us) in programs.iter().zip(&issues) {
             session.admit((*program).clone(), f64::from(us));
         }
-        let report = session.run_with_scratch(&mut scratch).unwrap();
-        prop_assert_eq!(report.total_us.to_bits(), reference.total_us.to_bits());
-        let mut base = issues.len();
-        for run in &report.programs {
-            let len = run.op_spans.len();
-            prop_assert!(spans_bit_identical(
-                &run.op_spans,
-                &reference.op_spans[base..base + len]
+        let plain = session.run_with_scratch(&mut scratch).unwrap();
+        // the same session over the compiled programs, remapped per program
+        let entries: Vec<_> = [0, 2, 1, 0]
+            .iter()
+            .zip(&issues)
+            .map(|(&k, &us)| (&compiled[k], f64::from(us)))
+            .collect();
+        let remapped = sim.run_compiled_session(&entries, &mut scratch).unwrap();
+        for report in [&plain, &remapped] {
+            prop_assert_eq!(report.total_us.to_bits(), reference.total_us.to_bits());
+            let mut base = issues.len();
+            for run in &report.programs {
+                let len = run.op_spans.len();
+                prop_assert!(spans_bit_identical(
+                    &run.op_spans,
+                    &reference.op_spans[base..base + len]
+                ));
+                base += len;
+            }
+            prop_assert!(link_maps_bit_identical(
+                &report.link_busy_us,
+                &reference.link_busy_us,
+                &report.link_bytes,
+                &reference.link_bytes
             ));
-            base += len;
         }
-        prop_assert!(link_maps_bit_identical(
-            &report.link_busy_us,
-            &reference.link_busy_us,
-            &report.link_bytes,
-            &reference.link_bytes
-        ));
     }
 }
